@@ -6,12 +6,14 @@
 // Usage:
 //
 //	ridlab [-dataset Epinions] [-file soc-sign.txt] [-load-trace t.json] [-scale 0.02]
-//	       [-method rid|rid-tree|rid-positive|rumor-centrality|jordan-center|degree-max|ensemble]
-//	       [-beta 0.3] [-alpha 3] [-n 0] [-seed-frac 0.05] [-theta 0.5]
+//	       [-method rid] [-beta 0.3] [-alpha 3] [-n 0] [-seed-frac 0.05] [-theta 0.5]
 //	       [-mask 0] [-seed 1] [-save-trace t.json] [-trace-format json|binary]
 //	       [-dot out.dot] [-v]
 //	       [-replay] [-replay-checks 10]
 //	       [-log-level info] [-log-format text] [-cpuprofile f] [-memprofile f]
+//
+// -method names any detector in core.DetectorNames(): rid, rid-tree,
+// rid-positive, rumor-centrality, jordan-center, degree-max or ensemble.
 //
 // With -file, a real SNAP signed edge list (optionally .gz) is loaded
 // instead of the synthetic preset (weights re-derived via Jaccard, as in
@@ -30,10 +32,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"time"
 
 	"repro/internal/cascade"
@@ -71,7 +75,7 @@ func main() {
 	flag.StringVar(&o.saveTrace, "save-trace", "", "save the simulated instance to this file")
 	flag.StringVar(&o.traceFormat, "trace-format", "json", "wire format for -save-trace: json or binary (-load-trace auto-detects)")
 	flag.StringVar(&o.dotFile, "dot", "", "write the infected subgraph as Graphviz DOT to this file")
-	flag.StringVar(&o.method, "method", "rid", "detector: rid, rid-tree, rid-positive, rumor-centrality, jordan-center, degree-max, ensemble")
+	flag.StringVar(&o.method, "method", "rid", "detector: "+strings.Join(core.DetectorNames(), ", "))
 	flag.Float64Var(&o.scale, "scale", 0.02, "preset scale in (0,1]")
 	flag.Float64Var(&o.beta, "beta", 0.3, "RID initiator penalty β")
 	flag.Float64Var(&o.alpha, "alpha", 3, "MFC boosting coefficient α")
@@ -125,7 +129,10 @@ func run(o options) error {
 		}
 		fmt.Printf("saved instance to %s (%s)\n", o.saveTrace, o.traceFormat)
 	}
-	d, err := detector(o.method, o.alpha, o.beta)
+	d, err := core.NewDetector(o.method, core.RIDConfig{Alpha: o.alpha, Beta: o.beta})
+	if errors.Is(err, core.ErrUnknownDetector) {
+		return cli.Usagef("unknown method %q", o.method)
+	}
 	if err != nil {
 		return err
 	}
@@ -187,7 +194,7 @@ func run(o options) error {
 // goldens).
 func detect(o options, d core.Detector, snap *cascade.Snapshot) (*core.Detection, error) {
 	if o.otlpFile == "" {
-		return d.Detect(snap)
+		return d.DetectContext(context.Background(), snap)
 	}
 	exporter, err := obs.NewExporter(obs.ExporterConfig{File: o.otlpFile, Service: "ridlab"})
 	if err != nil {
@@ -197,7 +204,7 @@ func detect(o options, d core.Detector, snap *cascade.Snapshot) (*core.Detection
 	tc := obs.NewTraceContext()
 	ctx := obs.WithRecorder(obs.WithTraceContext(context.Background(), tc), rec)
 	start := time.Now()
-	det, detErr := core.DetectWithContext(ctx, d, snap)
+	det, detErr := d.DetectContext(ctx, snap)
 	rt := &obs.RequestTelemetry{
 		Trace:  tc,
 		Route:  "ridlab/detect",
@@ -407,25 +414,4 @@ func writeInfectedDOT(path string, snap *cascade.Snapshot) error {
 	}
 	defer f.Close()
 	return sgraph.WriteDOT(f, sub.G, "infected", states)
-}
-
-func detector(method string, alpha, beta float64) (core.Detector, error) {
-	switch method {
-	case "rid":
-		return core.NewRID(core.RIDConfig{Alpha: alpha, Beta: beta})
-	case "rid-tree":
-		return core.NewRIDTree(alpha)
-	case "rid-positive":
-		return core.RIDPositive{}, nil
-	case "rumor-centrality":
-		return core.RumorCentrality{}, nil
-	case "jordan-center":
-		return core.JordanCenter{}, nil
-	case "degree-max":
-		return core.DegreeMax{}, nil
-	case "ensemble":
-		return core.NewEnsemble(alpha, []float64{0.5 * beta, beta, 2 * beta}, 2)
-	default:
-		return nil, cli.Usagef("unknown method %q", method)
-	}
 }

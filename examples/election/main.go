@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -67,7 +68,7 @@ func main() {
 
 	fmt.Printf("%-18s %9s %10s %8s %8s\n", "method", "suspects", "precision", "recall", "F1")
 	for _, d := range detectors {
-		det, err := d.Detect(snap)
+		det, err := d.DetectContext(context.Background(), snap)
 		if err != nil {
 			log.Fatal(err)
 		}

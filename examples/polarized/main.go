@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -101,7 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dt, err := tree.Detect(snap)
+	dt, err := tree.DetectContext(context.Background(), snap)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cascade"
@@ -27,13 +28,9 @@ func NewRIDTree(alpha float64) (*RIDTree, error) {
 // Name implements Detector.
 func (d *RIDTree) Name() string { return "RID-Tree" }
 
-// Detect implements Detector.
-func (d *RIDTree) Detect(snap *cascade.Snapshot) (*Detection, error) {
-	forest, err := cascade.Extract(snap, cascade.Config{Alpha: d.Alpha})
-	if err != nil {
-		return nil, err
-	}
-	return rootsOf(forest), nil
+// DetectContext implements Detector.
+func (d *RIDTree) DetectContext(ctx context.Context, snap *cascade.Snapshot) (*Detection, error) {
+	return extractRoots(ctx, snap, cascade.Config{Alpha: d.Alpha})
 }
 
 // RIDPositive is the RID-Positive baseline (Section IV-B1): negative links
@@ -46,24 +43,29 @@ type RIDPositive struct{}
 // Name implements Detector.
 func (RIDPositive) Name() string { return "RID-Positive" }
 
-// Detect implements Detector.
-func (RIDPositive) Detect(snap *cascade.Snapshot) (*Detection, error) {
-	forest, err := cascade.Extract(snap, cascade.Config{
+// DetectContext implements Detector.
+func (RIDPositive) DetectContext(ctx context.Context, snap *cascade.Snapshot) (*Detection, error) {
+	return extractRoots(ctx, snap, cascade.Config{
 		Alpha:        1,
 		Mode:         cascade.ModeRaw,
 		PositiveOnly: true,
 	})
+}
+
+// extractRoots extracts the cascade forest under ctx and reports its tree
+// roots as the initiators.
+func extractRoots(ctx context.Context, snap *cascade.Snapshot, cfg cascade.Config) (*Detection, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	forest, err := cascade.ExtractContext(ctx, snap, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return rootsOf(forest), nil
-}
-
-func rootsOf(forest *cascade.Forest) *Detection {
 	det := &Detection{Trees: len(forest.Trees), Components: forest.Components}
 	for _, tree := range forest.Trees {
 		det.Initiators = append(det.Initiators, tree.Orig[tree.Root()])
 	}
 	sortDetection(det)
-	return det
+	return det, nil
 }

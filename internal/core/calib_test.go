@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/metrics"
@@ -16,13 +17,13 @@ func TestCalibrationSweep(t *testing.T) {
 	sim := simulate(t, 42, 3000, 19500, 150)
 	t.Logf("infected=%d seeds=%d", len(sim.snap.Infected()), len(sim.seeds))
 	tree := mustRIDTree(t)
-	dt, err := tree.Detect(sim.snap)
+	dt, err := tree.DetectContext(context.Background(), sim.snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	idT := metrics.EvalIdentity(dt.Initiators, sim.seeds)
 	t.Logf("RID-Tree: trees=%d det=%d P=%.3f R=%.3f F1=%.3f", dt.Trees, len(dt.Initiators), idT.Precision, idT.Recall, idT.F1)
-	dp, err := RIDPositive{}.Detect(sim.snap)
+	dp, err := RIDPositive{}.DetectContext(context.Background(), sim.snap)
 	if err != nil {
 		t.Fatal(err)
 	}

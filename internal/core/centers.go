@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/cascade"
 	"repro/internal/sgraph"
 )
@@ -17,8 +19,18 @@ type JordanCenter struct{}
 // Name implements Detector.
 func (JordanCenter) Name() string { return "JordanCenter" }
 
-// Detect implements Detector.
-func (JordanCenter) Detect(snap *cascade.Snapshot) (*Detection, error) {
+// DetectContext implements Detector.
+func (JordanCenter) DetectContext(ctx context.Context, snap *cascade.Snapshot) (*Detection, error) {
+	return perComponent(ctx, snap, jordanCenterOf)
+}
+
+// perComponent runs a one-initiator-per-component comparator: pick
+// returns the chosen node of each infected connected component (links
+// undirected, signs ignored), in the induced subgraph's local IDs.
+func perComponent(ctx context.Context, snap *cascade.Snapshot, pick func(g *sgraph.Graph, comp []int) int) (*Detection, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	infected := snap.Infected()
 	if len(infected) == 0 {
 		return nil, cascade.ErrNoInfected
@@ -27,7 +39,7 @@ func (JordanCenter) Detect(snap *cascade.Snapshot) (*Detection, error) {
 	comps := sgraph.ConnectedComponents(sub.G)
 	det := &Detection{Components: len(comps), Trees: len(comps)}
 	for _, comp := range comps {
-		det.Initiators = append(det.Initiators, sub.Orig[jordanCenterOf(sub.G, comp)])
+		det.Initiators = append(det.Initiators, sub.Orig[pick(sub.G, comp)])
 	}
 	sortDetection(det)
 	return det, nil
@@ -93,24 +105,15 @@ type DegreeMax struct{}
 // Name implements Detector.
 func (DegreeMax) Name() string { return "DegreeMax" }
 
-// Detect implements Detector.
-func (DegreeMax) Detect(snap *cascade.Snapshot) (*Detection, error) {
-	infected := snap.Infected()
-	if len(infected) == 0 {
-		return nil, cascade.ErrNoInfected
-	}
-	sub := sgraph.Induce(snap.G, infected)
-	comps := sgraph.ConnectedComponents(sub.G)
-	det := &Detection{Components: len(comps), Trees: len(comps)}
-	for _, comp := range comps {
+// DetectContext implements Detector.
+func (DegreeMax) DetectContext(ctx context.Context, snap *cascade.Snapshot) (*Detection, error) {
+	return perComponent(ctx, snap, func(g *sgraph.Graph, comp []int) int {
 		best, bestDeg := comp[0], -1
 		for _, v := range comp {
-			if d := sub.G.OutDegree(v) + sub.G.InDegree(v); d > bestDeg {
+			if d := g.OutDegree(v) + g.InDegree(v); d > bestDeg {
 				best, bestDeg = v, d
 			}
 		}
-		det.Initiators = append(det.Initiators, sub.Orig[best])
-	}
-	sortDetection(det)
-	return det, nil
+		return best
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cascade"
@@ -30,7 +31,7 @@ func TestJordanCenterPath(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.AddEdge(i, i+1, sgraph.Positive, 0.5)
 	}
-	det, err := JordanCenter{}.Detect(allPositiveSnapshot(t, b, 5))
+	det, err := JordanCenter{}.DetectContext(context.Background(), allPositiveSnapshot(t, b, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestJordanCenterPerComponent(t *testing.T) {
 	b.AddEdge(1, 2, sgraph.Positive, 0.5)
 	b.AddEdge(3, 4, sgraph.Positive, 0.5)
 	b.AddEdge(4, 5, sgraph.Positive, 0.5)
-	det, err := JordanCenter{}.Detect(allPositiveSnapshot(t, b, 6))
+	det, err := JordanCenter{}.DetectContext(context.Background(), allPositiveSnapshot(t, b, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestDegreeMaxHub(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		b.AddEdge(0, i, sgraph.Positive, 0.5)
 	}
-	det, err := DegreeMax{}.Detect(allPositiveSnapshot(t, b, 5))
+	det, err := DegreeMax{}.DetectContext(context.Background(), allPositiveSnapshot(t, b, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestDegreeMaxHub(t *testing.T) {
 func TestCentersOnSimulatedCascade(t *testing.T) {
 	sim := simulate(t, 23, 1200, 6000, 15)
 	for _, d := range []Detector{JordanCenter{}, DegreeMax{}} {
-		det, err := d.Detect(sim.snap)
+		det, err := d.DetectContext(context.Background(), sim.snap)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name(), err)
 		}
@@ -92,10 +93,10 @@ func TestCentersEmptySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (JordanCenter{}).Detect(snap); err == nil {
+	if _, err := (JordanCenter{}).DetectContext(context.Background(), snap); err == nil {
 		t.Error("JordanCenter on empty snapshot should error")
 	}
-	if _, err := (DegreeMax{}).Detect(snap); err == nil {
+	if _, err := (DegreeMax{}).DetectContext(context.Background(), snap); err == nil {
 		t.Error("DegreeMax on empty snapshot should error")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/cascade"
@@ -20,21 +21,9 @@ type RumorCentrality struct{}
 // Name implements Detector.
 func (RumorCentrality) Name() string { return "RumorCentrality" }
 
-// Detect implements Detector.
-func (RumorCentrality) Detect(snap *cascade.Snapshot) (*Detection, error) {
-	infected := snap.Infected()
-	if len(infected) == 0 {
-		return nil, cascade.ErrNoInfected
-	}
-	sub := sgraph.Induce(snap.G, infected)
-	comps := sgraph.ConnectedComponents(sub.G)
-	det := &Detection{Components: len(comps), Trees: len(comps)}
-	for _, comp := range comps {
-		best := centerOf(sub.G, comp)
-		det.Initiators = append(det.Initiators, sub.Orig[best])
-	}
-	sortDetection(det)
-	return det, nil
+// DetectContext implements Detector.
+func (RumorCentrality) DetectContext(ctx context.Context, snap *cascade.Snapshot) (*Detection, error) {
+	return perComponent(ctx, snap, centerOf)
 }
 
 // centerOf returns the rumor center of one component (sub-local node IDs).

@@ -43,25 +43,49 @@ func TestDetectForestContextCancelsBetweenTrees(t *testing.T) {
 	}
 }
 
-func TestDetectWithContextFallback(t *testing.T) {
+// TestDetectorTable checks every name in the detector table: it builds,
+// carries its report label, honors a cancelled context and detects under
+// a live one.
+func TestDetectorTable(t *testing.T) {
 	sim := simulate(t, 7, 200, 1200, 4)
-	// RID-Tree has no context path: DetectWithContext must still honor a
-	// cancelled context via the up-front check...
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := DetectWithContext(ctx, mustRIDTree(t), sim.snap); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	want := map[string]string{
+		"rid":              "RID(0.3)",
+		"rid-tree":         "RID-Tree",
+		"rid-positive":     "RID-Positive",
+		"rumor-centrality": "RumorCentrality",
+		"jordan-center":    "JordanCenter",
+		"degree-max":       "DegreeMax",
+		"ensemble":         "RID-Ensemble(2/3)",
 	}
-	// ...and pass through to Detect under a live one.
-	det, err := DetectWithContext(context.Background(), mustRIDTree(t), sim.snap)
-	if err != nil {
-		t.Fatal(err)
+	names := DetectorNames()
+	if len(names) != len(want) {
+		t.Fatalf("DetectorNames() = %v, want %d names", names, len(want))
 	}
-	if len(det.Initiators) == 0 {
-		t.Fatal("no initiators detected")
+	for _, name := range names {
+		d, err := NewDetector(name, RIDConfig{Beta: 0.3})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d.Name() != want[name] {
+			t.Errorf("%s: Name() = %q, want %q", name, d.Name(), want[name])
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := d.DetectContext(ctx, sim.snap); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+		det, err := d.DetectContext(context.Background(), sim.snap)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(det.Initiators) == 0 {
+			t.Fatalf("%s: no initiators detected", name)
+		}
 	}
-	// RID is a ContextDetector: the interface dispatch must find it.
-	if _, ok := interface{}(mustRID(t, 0.1)).(ContextDetector); !ok {
-		t.Fatal("RID should implement ContextDetector")
+	if _, err := NewDetector("bogus", RIDConfig{}); !errors.Is(err, ErrUnknownDetector) {
+		t.Fatalf("unknown name: err = %v, want ErrUnknownDetector", err)
+	}
+	if _, err := NewDetector("rid", RIDConfig{Beta: -1}); err == nil || errors.Is(err, ErrUnknownDetector) {
+		t.Fatalf("invalid config: err = %v, want a validation error", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -84,11 +85,11 @@ func TestPipelineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	detTree, err := tree.Detect(sim.snap)
+	detTree, err := tree.DetectContext(context.Background(), sim.snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	detPos, err := RIDPositive{}.Detect(sim.snap)
+	detPos, err := RIDPositive{}.DetectContext(context.Background(), sim.snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestRIDDeterministic(t *testing.T) {
 func TestDetectionSorted(t *testing.T) {
 	sim := simulate(t, 11, 1000, 5000, 15)
 	for _, d := range []Detector{mustRID(t, 0.1), mustRIDTree(t), RIDPositive{}, RumorCentrality{}} {
-		det, err := d.Detect(sim.snap)
+		det, err := d.DetectContext(context.Background(), sim.snap)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name(), err)
 		}
@@ -234,7 +235,7 @@ func TestRIDTreeRootsAreInitiatorsOnForests(t *testing.T) {
 	// weaker, always-true form: every detected root either is a true
 	// initiator or has at least one infected in-neighbor (cycle case).
 	sim := simulate(t, 21, 2000, 10000, 25)
-	det, err := mustRIDTree(t).Detect(sim.snap)
+	det, err := mustRIDTree(t).DetectContext(context.Background(), sim.snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestRIDTreeRootsAreInitiatorsOnForests(t *testing.T) {
 
 func TestRumorCentralityOnePerComponent(t *testing.T) {
 	sim := simulate(t, 31, 1500, 7000, 20)
-	det, err := RumorCentrality{}.Detect(sim.snap)
+	det, err := RumorCentrality{}.DetectContext(context.Background(), sim.snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestRumorCentralityStarCenter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := RumorCentrality{}.Detect(snap)
+	det, err := RumorCentrality{}.DetectContext(context.Background(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +386,7 @@ func TestRIDConfidenceRanking(t *testing.T) {
 		t.Errorf("top-%d precision %g well below overall %g; ranking is anti-informative", k, topP, fullP)
 	}
 	// Baselines carry no confidence; Ranked still works.
-	dt, err := mustRIDTree(t).Detect(sim.snap)
+	dt, err := mustRIDTree(t).DetectContext(context.Background(), sim.snap)
 	if err != nil {
 		t.Fatal(err)
 	}

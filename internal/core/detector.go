@@ -11,6 +11,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
 	"repro/internal/cascade"
 	"repro/internal/sgraph"
@@ -57,28 +59,41 @@ func (d *Detection) Ranked() []int {
 type Detector interface {
 	// Name is the label used in experiment reports (e.g. "RID(0.1)").
 	Name() string
-	// Detect infers the rumor initiators from the snapshot.
-	Detect(snap *cascade.Snapshot) (*Detection, error)
-}
-
-// ContextDetector is a Detector whose hot loops honor cooperative
-// cancellation. RID implements it; serving layers use it to enforce
-// per-request deadlines.
-type ContextDetector interface {
-	Detector
+	// DetectContext infers the rumor initiators from the snapshot. It
+	// honors ctx's cancellation, and an obs.Recorder attached to ctx
+	// collects the pipeline's stage timings and counters.
 	DetectContext(ctx context.Context, snap *cascade.Snapshot) (*Detection, error)
 }
 
-// DetectWithContext runs d under ctx when it supports cancellation and
-// falls back to a plain Detect (with a single up-front ctx check)
-// otherwise. The fast baselines finish in microseconds, so the up-front
-// check is the only deadline enforcement they need.
-func DetectWithContext(ctx context.Context, d Detector, snap *cascade.Snapshot) (*Detection, error) {
-	if cd, ok := d.(ContextDetector); ok {
-		return cd.DetectContext(ctx, snap)
+// ErrUnknownDetector is wrapped by NewDetector for a name outside
+// DetectorNames.
+var ErrUnknownDetector = errors.New("core: unknown detector")
+
+// DetectorNames lists the names NewDetector accepts, RID first.
+func DetectorNames() []string {
+	return []string{"rid", "rid-tree", "rid-positive", "rumor-centrality", "jordan-center", "degree-max", "ensemble"}
+}
+
+// NewDetector builds the named detector. cfg configures RID and is the
+// base of the ensemble, which votes 2 of 3 over RID at β/2, β and 2β; the
+// RID-Tree baseline takes its Alpha; the other comparators ignore it.
+func NewDetector(name string, cfg RIDConfig) (Detector, error) {
+	cfg = cfg.withDefaults()
+	switch name {
+	case "rid":
+		return NewRID(cfg)
+	case "rid-tree":
+		return NewRIDTree(cfg.Alpha)
+	case "rid-positive":
+		return RIDPositive{}, nil
+	case "rumor-centrality":
+		return RumorCentrality{}, nil
+	case "jordan-center":
+		return JordanCenter{}, nil
+	case "degree-max":
+		return DegreeMax{}, nil
+	case "ensemble":
+		return NewEnsembleConfig(cfg, []float64{0.5 * cfg.Beta, cfg.Beta, 2 * cfg.Beta}, 2)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return d.Detect(snap)
+	return nil, fmt.Errorf("%w %q", ErrUnknownDetector, name)
 }

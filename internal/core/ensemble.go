@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -16,12 +17,6 @@ import (
 type Ensemble struct {
 	detectors []*RID
 	minVotes  int
-}
-
-// NewEnsemble builds the ensemble; betas must be non-empty and minVotes in
-// [1, len(betas)].
-func NewEnsemble(alpha float64, betas []float64, minVotes int) (*Ensemble, error) {
-	return NewEnsembleConfig(RIDConfig{Alpha: alpha}, betas, minVotes)
 }
 
 // NewEnsembleConfig builds the ensemble from a full base configuration —
@@ -55,13 +50,15 @@ func (e *Ensemble) Name() string {
 	return fmt.Sprintf("RID-Ensemble(%d/%d)", e.minVotes, len(e.detectors))
 }
 
-// Detect implements Detector.
-func (e *Ensemble) Detect(snap *cascade.Snapshot) (*Detection, error) {
+// DetectContext implements Detector. Every member runs under ctx, so the
+// deadline holds between and inside members and their pipeline spans
+// reach an attached obs.Recorder.
+func (e *Ensemble) DetectContext(ctx context.Context, snap *cascade.Snapshot) (*Detection, error) {
 	votes := make(map[int]int)
 	state := make(map[int]sgraph.State)
 	var trees, components int
 	for _, rid := range e.detectors { // ascending β: later = stricter
-		det, err := rid.Detect(snap)
+		det, err := rid.DetectContext(ctx, snap)
 		if err != nil {
 			return nil, err
 		}

@@ -111,12 +111,12 @@ func NewRID(cfg RIDConfig) (*RID, error) {
 // Name implements Detector.
 func (r *RID) Name() string { return fmt.Sprintf("RID(%g)", r.cfg.Beta) }
 
-// Detect implements Detector.
+// Detect is DetectContext under context.Background().
 func (r *RID) Detect(snap *cascade.Snapshot) (*Detection, error) {
 	return r.DetectContext(context.Background(), snap)
 }
 
-// DetectContext implements ContextDetector: the full RID pipeline with
+// DetectContext implements Detector: the full RID pipeline with
 // cooperative cancellation, checked between extraction and per-tree
 // inference so a cancelled request stops paying for the remaining trees.
 func (r *RID) DetectContext(ctx context.Context, snap *cascade.Snapshot) (*Detection, error) {

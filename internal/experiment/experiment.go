@@ -8,6 +8,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -165,7 +166,7 @@ type MethodScore struct {
 func evalDetector(d core.Detector, instances []*Instance) (MethodScore, error) {
 	var det, prec, rec, f1 []float64
 	for _, in := range instances {
-		res, err := d.Detect(in.Snap)
+		res, err := d.DetectContext(context.TODO(), in.Snap)
 		if err != nil {
 			return MethodScore{}, fmt.Errorf("experiment: %s: %w", d.Name(), err)
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -372,7 +373,7 @@ func DensitySweep(w Workload, beta float64, fractions []float64) (*DensityResult
 			if err != nil {
 				return nil, err
 			}
-			dt, err := tree.Detect(in.Snap)
+			dt, err := tree.DetectContext(context.TODO(), in.Snap)
 			if err != nil {
 				return nil, err
 			}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -109,8 +107,17 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Items fan out across the request's parallelism budget; each item's
+	// detection then runs serially (Parallelism 1) so a batch never exceeds
+	// the concurrency one parallel detect would use. A single-item batch
+	// keeps the configured per-detection parallelism instead. Detectors
+	// hold only their configuration, so the workers share one.
+	itemParallelism := 1
+	if len(req.Items) == 1 {
+		itemParallelism = s.cfg.Parallelism
+	}
 	// Reject unknown detector names before burning a worker slot.
-	probe, err := buildDetector(req.Detector, req.Alpha, req.Beta, 1)
+	detector, err := newDetector(req.Detector, req.Alpha, req.Beta, itemParallelism)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -121,71 +128,22 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 		var resp any
 		var derr error
 		profiling.Do(ctx, func(ctx context.Context) {
-			resp, derr = s.detectBatch(ctx, &req)
-		}, profiling.LabelModel, probe.Name(), profiling.LabelBatch, "true")
+			resp, derr = s.detectBatch(ctx, &req, detector)
+		}, profiling.LabelModel, detector.Name(), profiling.LabelBatch, "true")
 		return resp, derr
 	})
 }
 
-func (s *Server) detectBatch(ctx context.Context, req *DetectBatchRequest) (resp *DetectBatchResponse, err error) {
-	start := time.Now()
-	rec := obs.NewRecorder()
-
-	// Items fan out across the request's parallelism budget; each item's
-	// detector then runs serially (Parallelism 1) so a batch never exceeds
-	// the concurrency one parallel detect would use. A single-item batch
-	// keeps the configured per-detection parallelism instead.
-	workers := par.Workers(s.cfg.Parallelism)
-	if workers > len(req.Items) {
-		workers = len(req.Items)
-	}
-	itemParallelism := 1
-	if len(req.Items) == 1 {
-		itemParallelism = s.cfg.Parallelism
-	}
-	detectors := make([]core.Detector, workers)
-	for i := range detectors {
-		if detectors[i], err = buildDetector(req.Detector, req.Alpha, req.Beta, itemParallelism); err != nil {
-			return nil, err
-		}
-	}
-	detail := fmt.Sprintf("detector=%s items=%d", detectors[0].Name(), len(req.Items))
-	if t := obs.TelemetryFrom(ctx); t != nil {
-		t.SetRecorder(rec)
-		t.SetDetail(detail)
-	}
-	defer func() {
-		fr := obs.FlightRecord{
-			TraceID:   obs.TraceID(ctx),
-			Route:     "/v1/detect/batch",
-			Detail:    detail,
-			Start:     start,
-			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			Status:    statusOf(err),
-			Stages:    rec.StageViews(),
-			Counters:  rec.Counters(),
-			Algo:      rec.CounterSetSnapshot(),
-		}
-		if err != nil {
-			fr.Error = err.Error()
-		}
-		s.recordFlight(fr)
-	}()
+func (s *Server) detectBatch(ctx context.Context, req *DetectBatchRequest, detector core.Detector) (resp *DetectBatchResponse, err error) {
+	detail := fmt.Sprintf("detector=%s items=%d", detector.Name(), len(req.Items))
+	ctx, rr := s.begin(ctx, "/v1/detect/batch", detail)
+	defer func() { rr.finish(detail, err, "detect_batch") }()
+	rec := rr.rec
 
 	// One graph resolution serves every item.
 	profiling.SetStage(ctx, obs.StageGraphBuild)
 	span := rec.Start(obs.StageGraphBuild)
-	var (
-		g          *sgraph.Graph
-		hash       string
-		cacheState string
-	)
-	if req.Trace != nil {
-		g, hash, cacheState, err = s.resolveGraph(req.Trace)
-	} else {
-		hash = req.GraphHash
-		g, cacheState, err = s.lookupGraph(req.GraphHash)
-	}
+	g, hash, cacheState, err := s.resolveGraph(req.Trace, req.GraphHash)
 	span.End()
 	profiling.ClearStage(ctx)
 	if err != nil {
@@ -194,14 +152,15 @@ func (s *Server) detectBatch(ctx context.Context, req *DetectBatchRequest) (resp
 
 	results := make([]BatchItemResult, len(req.Items))
 	itemRecs := make([]*obs.Recorder, len(req.Items))
-	perr := par.ForEach(ctx, workers, len(req.Items), func(worker, i int) error {
+	workers := min(par.Workers(s.cfg.Parallelism), len(req.Items))
+	perr := par.ForEach(ctx, workers, len(req.Items), func(_, i int) error {
 		item := &req.Items[i]
 		res := &results[i]
 		res.Name = item.Name
 		itemStart := time.Now()
 		irec := obs.NewRecorder()
 		itemRecs[i] = irec
-		itemErr := s.detectItem(obs.WithRecorder(ctx, irec), item, detectors[worker], req.K, irec, res, g)
+		itemErr := s.detectItem(obs.WithRecorder(ctx, irec), item, detector, req.K, irec, res, g)
 		res.ElapsedMS = float64(time.Since(itemStart)) / float64(time.Millisecond)
 		if itemErr != nil {
 			// Per-item isolation: every failure — a bad item, or the batch
@@ -234,19 +193,17 @@ func (s *Server) detectBatch(ctx context.Context, req *DetectBatchRequest) (resp
 			failed++
 		}
 	}
-	s.reg.MergeRecorder(rec)
 	resp = &DetectBatchResponse{
-		Detector:     detectors[0].Name(),
+		Detector:     detector.Name(),
 		GraphHash:    hash,
 		Cache:        cacheState,
 		Items:        results,
 		Failed:       failed,
-		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
+		ElapsedMS:    float64(time.Since(rr.start)) / float64(time.Millisecond),
 		StageTimings: rec.StageMillis(),
 		Algo:         rec.CounterSetSnapshot(),
 		TraceID:      obs.TraceID(ctx),
 	}
-	s.reg.Observe("detect_batch", time.Since(start))
 	return resp, nil
 }
 
@@ -264,7 +221,7 @@ func (s *Server) detectItem(ctx context.Context, item *trace.Observation, detect
 	if err != nil {
 		return err
 	}
-	det, err := core.DetectWithContext(ctx, detector, snap)
+	det, err := detector.DetectContext(ctx, snap)
 	if err != nil {
 		return err
 	}
@@ -281,28 +238,6 @@ func (s *Server) detectItem(ctx context.Context, item *trace.Observation, detect
 		res.Truth = &TruthReport{Precision: id.Precision, Recall: id.Recall, F1: id.F1}
 	}
 	return nil
-}
-
-// lookupGraph fetches a previously built network by content hash: the LRU
-// first, then the snapshot store ("warm" — the graph comes back as
-// zero-copy views over the snapshot file and is re-cached). A hash in
-// neither answers 404 so the client knows to resubmit the trace.
-func (s *Server) lookupGraph(hash string) (*sgraph.Graph, string, error) {
-	if g, ok := s.cache.Get(hash); ok {
-		s.reg.CountCache(true)
-		return g, "hit", nil
-	}
-	s.reg.CountCache(false)
-	g, err := s.snapshots.Load(hash)
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			slog.Warn("server: snapshot load failed", "hash", hash, "err", err)
-		}
-		return nil, "", &httpError{status: http.StatusNotFound,
-			msg: fmt.Sprintf("graph %s not cached; resubmit the trace", hash)}
-	}
-	s.cache.Put(hash, g)
-	return g, "warm", nil
 }
 
 // decodeDetect reads a detect request in either wire form. JSON carries

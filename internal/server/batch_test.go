@@ -240,7 +240,11 @@ func TestDetectBatchExpiredContextMarksAllItems(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	resp, err := s.detectBatch(ctx, &DetectBatchRequest{Trace: tr, Items: items})
+	detector, err := newDetector("", 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := s.detectBatch(ctx, &DetectBatchRequest{Trace: tr, Items: items}, detector)
 	if err != nil {
 		t.Fatalf("detectBatch returned error %v, want partial response", err)
 	}

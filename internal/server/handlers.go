@@ -65,7 +65,7 @@ type DetectResponse struct {
 	Trees      int               `json:"trees"`
 	Components int               `json:"components"`
 	GraphHash  string            `json:"graph_hash"`
-	Cache      string            `json:"cache"` // "hit" or "miss"
+	Cache      string            `json:"cache"` // "hit", "warm" or "miss"
 	ElapsedMS  float64           `json:"elapsed_ms"`
 	// StageTimings breaks ElapsedMS down by pipeline stage (graph_build,
 	// snapshot, components, arborescence, tree_build, binarize, tree_dp),
@@ -77,7 +77,7 @@ type DetectResponse struct {
 	// serving this request — which arborescence kernel ran and its heap and
 	// contraction work, the extracted forest's shape histograms, the ISOMIT
 	// DP modes and cell counts. Omitted when the pipeline counted nothing
-	// (e.g. identity-only detectors).
+	// (e.g. the per-component center comparators).
 	Algo *obs.CounterSet `json:"algo_counters,omitempty"`
 	// TraceID echoes the request's X-Trace-Id for log correlation.
 	TraceID string `json:"trace_id,omitempty"`
@@ -187,63 +187,56 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, statusOf(err), errorResponse{Error: err.Error()})
 }
 
-// buildDetector mirrors the ridlab CLI's method names so traces move
-// between the batch tools and the service without renaming anything.
-// parallelism is the server-configured pipeline fan-out, forwarded to the
-// detectors that accept it (results are identical at every setting).
-func buildDetector(name string, alpha, beta float64, parallelism int) (core.Detector, error) {
+// newDetector builds a detector from core's table with the wire defaults
+// (detector "rid", β 0.3); core.NewDetector shares ridlab's method names,
+// so traces move between the batch tools and the service without renaming
+// anything. parallelism is the per-detection pipeline fan-out (results
+// are identical at every setting).
+func newDetector(name string, alpha, beta float64, parallelism int) (core.Detector, error) {
 	if name == "" {
 		name = "rid"
-	}
-	if alpha == 0 {
-		alpha = 3
 	}
 	if beta == 0 {
 		beta = 0.3
 	}
-	switch name {
-	case "rid":
-		return core.NewRID(core.RIDConfig{Alpha: alpha, Beta: beta, Parallelism: parallelism})
-	case "rid-tree":
-		return core.NewRIDTree(alpha)
-	case "rid-positive":
-		return core.RIDPositive{}, nil
-	case "rumor-centrality":
-		return core.RumorCentrality{}, nil
-	case "jordan-center":
-		return core.JordanCenter{}, nil
-	case "degree-max":
-		return core.DegreeMax{}, nil
-	case "ensemble":
-		return core.NewEnsembleConfig(core.RIDConfig{Alpha: alpha, Parallelism: parallelism},
-			[]float64{0.5 * beta, beta, 2 * beta}, 2)
-	default:
+	d, err := core.NewDetector(name, core.RIDConfig{Alpha: alpha, Beta: beta, Parallelism: parallelism})
+	if errors.Is(err, core.ErrUnknownDetector) {
 		return nil, badRequest("unknown detector %q", name)
 	}
+	return d, err
 }
 
-// resolveGraph returns the built network for a trace and the cache state:
+// resolveGraph returns the network named by a pre-validated trace or, when
+// t is nil, by a content hash, together with its hash and cache state:
 // "hit" from the LRU, "warm" from the snapshot store (zero-copy views over
 // the persisted CSR file, skipping validation and index sorting), "miss"
-// when it had to be rebuilt from the wire edges. Misses are persisted to
-// the store for the next process. The trace must be pre-validated.
-func (s *Server) resolveGraph(t *trace.Trace) (*sgraph.Graph, string, string, error) {
-	hash := t.NetworkHash()
+// when rebuilt from the trace's wire edges and persisted to the store for
+// the next process. A hash in neither answers 404 so the client knows to
+// resubmit the trace.
+func (s *Server) resolveGraph(t *trace.Trace, hash string) (*sgraph.Graph, string, string, error) {
+	if t != nil {
+		hash = t.NetworkHash()
+	}
 	if g, ok := s.cache.Get(hash); ok {
 		s.reg.CountCache(true)
 		return g, hash, "hit", nil
 	}
 	s.reg.CountCache(false)
-	if g, err := s.snapshots.Load(hash); err == nil {
+	g, err := s.snapshots.Load(hash)
+	if err == nil {
 		s.cache.Put(hash, g)
 		return g, hash, "warm", nil
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		// A corrupt snapshot never reaches serving: the loader rejected it,
-		// and the rebuild below overwrites it with a good one.
-		slog.Warn("server: snapshot load failed; rebuilding", "hash", hash, "err", err)
 	}
-	g, err := t.BuildGraph()
-	if err != nil {
+	if !errors.Is(err, fs.ErrNotExist) {
+		// A corrupt snapshot never reaches serving: the loader rejected it,
+		// and a rebuild from a trace overwrites it with a good one.
+		slog.Warn("server: snapshot load failed", "hash", hash, "err", err)
+	}
+	if t == nil {
+		return nil, "", "", &httpError{status: http.StatusNotFound,
+			msg: fmt.Sprintf("graph %s not cached; resubmit the trace", hash)}
+	}
+	if g, err = t.BuildGraph(); err != nil {
 		return nil, "", "", badRequest("%v", err)
 	}
 	s.cache.Put(hash, g)
@@ -273,7 +266,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("k must be non-negative, got %d", req.K))
 		return
 	}
-	detector, err := buildDetector(req.Detector, req.Alpha, req.Beta, s.cfg.Parallelism)
+	detector, err := newDetector(req.Detector, req.Alpha, req.Beta, s.cfg.Parallelism)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -291,36 +284,13 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) detect(ctx context.Context, req *DetectRequest, detector core.Detector) (resp *DetectResponse, err error) {
-	start := time.Now()
-	rec := obs.NewRecorder()
-	ctx = obs.WithRecorder(ctx, rec)
-	if t := obs.TelemetryFrom(ctx); t != nil {
-		t.SetRecorder(rec)
-		t.SetDetail("detector=" + detector.Name())
-	}
-	// Every outcome — including early validation and timeout errors — lands
-	// in the flight recorder with whatever spans and counters the pipeline
-	// managed to record before failing.
-	defer func() {
-		fr := obs.FlightRecord{
-			TraceID:   obs.TraceID(ctx),
-			Route:     "/v1/detect",
-			Detail:    "detector=" + detector.Name(),
-			Start:     start,
-			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			Status:    statusOf(err),
-			Stages:    rec.StageViews(),
-			Counters:  rec.Counters(),
-			Algo:      rec.CounterSetSnapshot(),
-		}
-		if err != nil {
-			fr.Error = err.Error()
-		}
-		s.recordFlight(fr)
-	}()
+	detail := "detector=" + detector.Name()
+	ctx, rr := s.begin(ctx, "/v1/detect", detail)
+	defer func() { rr.finish(detail, err, "detect."+detector.Name()) }()
+	rec := rr.rec
 	profiling.SetStage(ctx, obs.StageGraphBuild)
 	span := rec.Start(obs.StageGraphBuild)
-	g, hash, cacheState, err := s.resolveGraph(req.Trace)
+	g, hash, cacheState, err := s.resolveGraph(req.Trace, "")
 	span.End()
 	if err != nil {
 		profiling.ClearStage(ctx)
@@ -334,11 +304,10 @@ func (s *Server) detect(ctx context.Context, req *DetectRequest, detector core.D
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	det, err := core.DetectWithContext(ctx, detector, snap)
+	det, err := detector.DetectContext(ctx, snap)
 	if err != nil {
 		return nil, err
 	}
-	s.reg.MergeRecorder(rec)
 	resp = &DetectResponse{
 		Detector:     detector.Name(),
 		Initiators:   rankInitiators(det, req.K),
@@ -346,7 +315,7 @@ func (s *Server) detect(ctx context.Context, req *DetectRequest, detector core.D
 		Components:   det.Components,
 		GraphHash:    hash,
 		Cache:        cacheState,
-		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
+		ElapsedMS:    float64(time.Since(rr.start)) / float64(time.Millisecond),
 		StageTimings: rec.StageMillis(),
 		Algo:         rec.CounterSetSnapshot(),
 		TraceID:      obs.TraceID(ctx),
@@ -359,7 +328,6 @@ func (s *Server) detect(ctx context.Context, req *DetectRequest, detector core.D
 		id := metrics.EvalIdentity(detected, seeds)
 		resp.Truth = &TruthReport{Precision: id.Precision, Recall: id.Recall, F1: id.F1}
 	}
-	s.reg.Observe("detect."+detector.Name(), time.Since(start))
 	return resp, nil
 }
 
@@ -420,47 +388,22 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) simulate(ctx context.Context, req *SimulateRequest) (resp *SimulateResponse, err error) {
-	start := time.Now()
 	name := req.Model
 	if name == "" {
 		name = "mfc"
 	}
+	detail := "model=" + name
+	ctx, rr := s.begin(ctx, "/v1/simulate", detail)
+	// Simulation counts into a flat counter set rather than stages; it
+	// folds into the recorder before the request is filed.
 	var cs obs.CounterSet
 	defer func() {
-		fr := obs.FlightRecord{
-			TraceID:   obs.TraceID(ctx),
-			Route:     "/v1/simulate",
-			Detail:    "model=" + name,
-			Start:     start,
-			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			Status:    statusOf(err),
-		}
-		if !cs.Zero() {
-			algo := cs
-			fr.Algo = &algo
-		}
-		if err != nil {
-			fr.Error = err.Error()
-		}
-		s.recordFlight(fr)
+		rr.rec.MergeCounterSet(&cs)
+		rr.finish(detail, err, "simulate."+name)
 	}()
-	var (
-		g          *sgraph.Graph
-		hash       string
-		cacheState string
-	)
-	if req.Trace != nil {
-		var err error
-		g, hash, cacheState, err = s.resolveGraph(req.Trace)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		hash = req.GraphHash
-		g, cacheState, err = s.lookupGraph(req.GraphHash)
-		if err != nil {
-			return nil, err
-		}
+	g, hash, cacheState, err := s.resolveGraph(req.Trace, req.GraphHash)
+	if err != nil {
+		return nil, err
 	}
 	states := make([]sgraph.State, len(req.Initiators))
 	for i := range states {
@@ -520,14 +463,6 @@ func (s *Server) simulate(ctx context.Context, req *SimulateRequest) (resp *Simu
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	s.reg.MergeCounterSet(&cs)
-	if t := obs.TelemetryFrom(ctx); t != nil && !cs.Zero() {
-		// Simulation records flat counters rather than stages; fold them
-		// into a recorder so the exported span still carries algo.*.
-		expRec := obs.NewRecorder()
-		expRec.MergeCounterSet(&cs)
-		t.SetRecorder(expRec)
-	}
 	resp = &SimulateResponse{
 		Model:       name,
 		Infected:    c.NumInfected(),
@@ -537,7 +472,7 @@ func (s *Server) simulate(ctx context.Context, req *SimulateRequest) (resp *Simu
 		Observed:    make([]int8, len(c.States)),
 		GraphHash:   hash,
 		Cache:       cacheState,
-		ElapsedMS:   float64(time.Since(start)) / float64(time.Millisecond),
+		ElapsedMS:   float64(time.Since(rr.start)) / float64(time.Millisecond),
 		TraceID:     obs.TraceID(ctx),
 	}
 	if !cs.Zero() {
@@ -553,7 +488,6 @@ func (s *Server) simulate(ctx context.Context, req *SimulateRequest) (resp *Simu
 			resp.Negative++
 		}
 	}
-	s.reg.Observe("simulate."+name, time.Since(start))
 	return resp, nil
 }
 

@@ -5,8 +5,9 @@
 // pool (sized to GOMAXPROCS) with a fixed-depth queue — a full queue sheds
 // load with 429 + Retry-After instead of spawning unbounded goroutines.
 // Per-request deadlines propagate via context.Context into the detector
-// hot loops (core.ContextDetector), so a timed-out request stops burning
-// CPU mid-solve. Built diffusion networks are LRU-cached by content hash
+// hot loops (core.Detector's DetectContext), so a timed-out request stops
+// burning CPU mid-solve. Detectors come from core.NewDetector's table.
+// Built diffusion networks are LRU-cached by content hash
 // (trace.NetworkHash), letting repeat queries on the same network skip
 // edge validation and adjacency construction. An in-process registry
 // tracks request counts, per-detector latency histograms, queue depth and
@@ -291,16 +292,63 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// recordFlight publishes a flight record, first stamping it with the
-// continuous-profiler window (if any) that overlapped the request, so a
-// slow entry in /debug/requests links straight to the CPU breakdown in
-// /debug/hotspots captured while it ran.
-func (s *Server) recordFlight(fr obs.FlightRecord) {
-	end := fr.Start.Add(time.Duration(fr.ElapsedMS * float64(time.Millisecond)))
-	if seq, ok := s.profiler.WindowFor(fr.Start, end); ok {
+// reqRecord is one compute request's bookkeeping from begin to finish:
+// its pipeline recorder plus the flight record's route and start clock.
+type reqRecord struct {
+	s     *Server
+	ctx   context.Context
+	route string
+	start time.Time
+	rec   *obs.Recorder
+}
+
+// begin opens a compute request's bookkeeping: a fresh recorder on the
+// returned context, published with detail to the request's telemetry up
+// front so a request the deadline cuts short still exports what it
+// recorded.
+func (s *Server) begin(ctx context.Context, route, detail string) (context.Context, *reqRecord) {
+	rr := &reqRecord{s: s, route: route, start: time.Now(), rec: obs.NewRecorder()}
+	rr.ctx = obs.WithRecorder(ctx, rr.rec)
+	t := obs.TelemetryFrom(rr.ctx)
+	t.SetRecorder(rr.rec)
+	t.SetDetail(detail)
+	return rr.ctx, rr
+}
+
+// finish closes the request. Every outcome files a flight record carrying
+// detail, whatever spans and counters the pipeline recorded, and the
+// status the client saw, stamped with the continuous-profiler window (if
+// any) that overlapped the request so a slow entry in /debug/requests
+// links straight to its CPU breakdown. detail is also published to the
+// telemetry. On success the recorder folds into the registry and, when
+// label is non-empty, the latency is observed under label.
+func (rr *reqRecord) finish(detail string, err error, label string) {
+	obs.TelemetryFrom(rr.ctx).SetDetail(detail)
+	elapsed := time.Since(rr.start)
+	fr := obs.FlightRecord{
+		TraceID:   obs.TraceID(rr.ctx),
+		Route:     rr.route,
+		Detail:    detail,
+		Start:     rr.start,
+		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
+		Status:    statusOf(err),
+		Stages:    rr.rec.StageViews(),
+		Counters:  rr.rec.Counters(),
+		Algo:      rr.rec.CounterSetSnapshot(),
+	}
+	if err != nil {
+		fr.Error = err.Error()
+	}
+	if seq, ok := rr.s.profiler.WindowFor(rr.start, rr.start.Add(elapsed)); ok {
 		fr.ProfileWindow = seq
 	}
-	s.flight.Record(fr)
+	rr.s.flight.Record(fr)
+	if err == nil {
+		rr.s.reg.MergeRecorder(rr.rec)
+		if label != "" {
+			rr.s.reg.Observe(label, elapsed)
+		}
+	}
 }
 
 // inboundTrace resolves the request's trace context, preferring a W3C

@@ -12,8 +12,10 @@ import (
 	"time"
 
 	"repro/internal/cascade"
+	"repro/internal/core"
 	"repro/internal/diffusion"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/sgraph"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -482,7 +484,10 @@ func TestHealthzAlwaysAnswers(t *testing.T) {
 func TestDetectAllMethods(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	tr := sampleTrace(t, 8, 200, 1200, 4)
-	for _, method := range []string{"rid", "rid-tree", "rid-positive", "rumor-centrality", "jordan-center", "degree-max", "ensemble"} {
+	// Detectors that extract the cascade forest run it under the request
+	// context, so its spans come back as stage timings.
+	extracts := map[string]bool{"rid": true, "rid-tree": true, "rid-positive": true, "ensemble": true}
+	for _, method := range core.DetectorNames() {
 		t.Run(method, func(t *testing.T) {
 			resp, body := postJSON(t, ts, "/v1/detect", DetectRequest{Trace: tr, Detector: method})
 			if resp.StatusCode != http.StatusOK {
@@ -494,6 +499,9 @@ func TestDetectAllMethods(t *testing.T) {
 			}
 			if len(det.Initiators) == 0 {
 				t.Fatal("no initiators")
+			}
+			if extracts[method] && det.StageTimings[obs.StageArborescence] <= 0 {
+				t.Errorf("no %s stage in stage_timings %v", obs.StageArborescence, det.StageTimings)
 			}
 		})
 	}

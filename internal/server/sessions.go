@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/obs"
-	"repro/internal/sgraph"
 	"repro/internal/trace"
 )
 
@@ -37,7 +36,7 @@ type SessionResponse struct {
 	SessionID string `json:"session_id"`
 	GraphHash string `json:"graph_hash"`
 	Nodes     int    `json:"nodes"`
-	Cache     string `json:"cache"` // "hit" or "miss"
+	Cache     string `json:"cache"` // "hit", "warm" or "miss"
 }
 
 // EventsRequest is the POST /v1/sessions/{id}/events payload: a batch of
@@ -92,37 +91,22 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("exactly one of trace or graph_hash is required"))
 		return
 	}
-	var (
-		g          *graphAndHash
-		cacheState string
-	)
 	if req.Trace != nil {
 		if err := req.Trace.Validate(); err != nil {
 			writeError(w, badRequest("%v", err))
 			return
 		}
-		built, hash, state, err := s.resolveGraph(req.Trace)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		g, cacheState = &graphAndHash{g: built, hash: hash}, state
-	} else {
-		built, ok := s.cache.Get(req.GraphHash)
-		if !ok {
-			s.reg.CountCache(false)
-			writeError(w, &httpError{status: http.StatusNotFound,
-				msg: fmt.Sprintf("graph %s not cached; resubmit the trace", req.GraphHash)})
-			return
-		}
-		s.reg.CountCache(true)
-		g, cacheState = &graphAndHash{g: built, hash: req.GraphHash}, "hit"
+	}
+	g, hash, cacheState, err := s.resolveGraph(req.Trace, req.GraphHash)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	beta := req.Beta
 	if beta == 0 {
 		beta = 0.3
 	}
-	sess, err := ingest.NewSession(g.g, g.hash, core.RIDConfig{
+	sess, err := ingest.NewSession(g, hash, core.RIDConfig{
 		Alpha: req.Alpha, Beta: beta, Parallelism: s.cfg.Parallelism,
 	})
 	if err != nil {
@@ -148,15 +132,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, SessionResponse{
 		SessionID: id,
-		GraphHash: g.hash,
+		GraphHash: hash,
 		Nodes:     sess.Nodes(),
 		Cache:     cacheState,
 	})
-}
-
-type graphAndHash struct {
-	g    *sgraph.Graph
-	hash string
 }
 
 // handleSessionEvents applies a batch of events. Application is a few map
@@ -178,24 +157,8 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("missing events"))
 		return
 	}
-	start := time.Now()
-	rec := obs.NewRecorder()
-	ctx := obs.WithRecorder(r.Context(), rec)
+	ctx, rr := s.begin(r.Context(), "/v1/sessions/events", "")
 	applied, applyErr := sess.Apply(ctx, req.Events)
-	if t := obs.TelemetryFrom(ctx); t != nil {
-		t.SetRecorder(rec)
-		t.SetDetail(fmt.Sprintf("events=%d applied=%d", len(req.Events), applied))
-	}
-	s.reg.MergeRecorder(rec)
-	fr := obs.FlightRecord{
-		TraceID:   obs.TraceID(ctx),
-		Route:     "/v1/sessions/events",
-		Detail:    fmt.Sprintf("events=%d applied=%d", len(req.Events), applied),
-		Start:     start,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Status:    http.StatusOK,
-		Algo:      rec.CounterSetSnapshot(),
-	}
 	resp := EventsResponse{
 		Applied:     applied,
 		EventsTotal: sess.Events(),
@@ -206,10 +169,11 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	if applyErr != nil {
 		status = http.StatusBadRequest
 		resp.Error = applyErr.Error()
-		fr.Status = status
-		fr.Error = applyErr.Error()
+		err = badRequest("%v", applyErr)
+		// The valid prefix stays applied, so its counters count.
+		s.reg.MergeRecorder(rr.rec)
 	}
-	s.recordFlight(fr)
+	rr.finish(fmt.Sprintf("events=%d applied=%d", len(req.Events), applied), err, "")
 	writeJSON(w, status, resp)
 }
 
@@ -238,28 +202,10 @@ func (s *Server) handleSessionDetect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) sessionDetect(ctx context.Context, sess *ingest.Session, k int) (resp *SessionDetectResponse, err error) {
-	start := time.Now()
-	rec := obs.NewRecorder()
-	ctx = obs.WithRecorder(ctx, rec)
-	telem := obs.TelemetryFrom(ctx)
-	telem.SetRecorder(rec)
+	ctx, rr := s.begin(ctx, "/v1/sessions/detect", "")
 	var stats ingest.DetectStats
 	defer func() {
-		fr := obs.FlightRecord{
-			TraceID:   obs.TraceID(ctx),
-			Route:     "/v1/sessions/detect",
-			Detail:    fmt.Sprintf("dirty=%d reused=%d", stats.Dirty, stats.Reused),
-			Start:     start,
-			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			Status:    statusOf(err),
-			Stages:    rec.StageViews(),
-			Counters:  rec.Counters(),
-			Algo:      rec.CounterSetSnapshot(),
-		}
-		if err != nil {
-			fr.Error = err.Error()
-		}
-		s.recordFlight(fr)
+		rr.finish(fmt.Sprintf("dirty=%d reused=%d", stats.Dirty, stats.Reused), err, "detect.session")
 	}()
 	det, stats, err := sess.Detect(ctx)
 	if errors.Is(err, cascade.ErrNoInfected) {
@@ -268,11 +214,9 @@ func (s *Server) sessionDetect(ctx context.Context, sess *ingest.Session, k int)
 	if err != nil {
 		return nil, err
 	}
-	telem.SetDetail(fmt.Sprintf("dirty=%d reused=%d", stats.Dirty, stats.Reused))
 	// Link the detect span to the session root and the event batches that
 	// dirtied the components it just re-solved.
-	telem.AddLinks(stats.Links...)
-	s.reg.MergeRecorder(rec)
+	obs.TelemetryFrom(ctx).AddLinks(stats.Links...)
 	resp = &SessionDetectResponse{
 		Detector:     "RID(incremental)",
 		Initiators:   rankInitiators(det, k),
@@ -281,12 +225,11 @@ func (s *Server) sessionDetect(ctx context.Context, sess *ingest.Session, k int)
 		Dirty:        stats.Dirty,
 		Reused:       stats.Reused,
 		GraphHash:    sess.GraphHash(),
-		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
-		StageTimings: rec.StageMillis(),
-		Algo:         rec.CounterSetSnapshot(),
+		ElapsedMS:    float64(time.Since(rr.start)) / float64(time.Millisecond),
+		StageTimings: rr.rec.StageMillis(),
+		Algo:         rr.rec.CounterSetSnapshot(),
 		TraceID:      obs.TraceID(ctx),
 	}
-	s.reg.Observe("detect.session", time.Since(start))
 	return resp, nil
 }
 

@@ -75,6 +75,32 @@ func TestSnapshotStoreWarmRestart(t *testing.T) {
 	}
 }
 
+// TestSessionCreateByHashWarmLoads checks that opening a session by
+// graph_hash falls back to the snapshot store when the LRU is cold, like
+// every other graph_hash route.
+func TestSessionCreateByHashWarmLoads(t *testing.T) {
+	store, err := NewSnapshotStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := sampleTrace(t, 22, 200, 1200, 4)
+	_, ts1 := newTestServer(t, Config{Snapshots: store})
+	hash := jsonDetect(t, ts1, tr).GraphHash
+
+	_, ts2 := newTestServer(t, Config{Snapshots: store})
+	resp, body := postJSON(t, ts2, "/v1/sessions", SessionRequest{GraphHash: hash})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("session by hash: status = %d, body %s", resp.StatusCode, body)
+	}
+	var sr SessionResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Cache != "warm" || sr.GraphHash != hash {
+		t.Fatalf("session cache = %q hash = %q, want warm and %q", sr.Cache, sr.GraphHash, hash)
+	}
+}
+
 // TestSnapshotStoreCorruptFallsBack corrupts the persisted snapshot and
 // checks the server silently rebuilds from the trace (cache state "miss",
 // identical results) and rewrites a good snapshot — a bad file is never

@@ -57,8 +57,8 @@ func (o *Observation) Validate(nodes int) error {
 		return fmt.Errorf("trace: %d observed states for %d nodes", len(o.Observed), nodes)
 	}
 	for i, c := range o.Observed {
-		if _, err := codeToState(c); err != nil {
-			return fmt.Errorf("trace: observed[%d]: invalid state code %d (want +1, -1, 0 or %d)", i, c, unknownCode)
+		if _, err := StateFromCode(c); err != nil {
+			return fmt.Errorf("trace: observed[%d]: invalid state code %d (want +1, -1, 0 or %d)", i, c, UnknownCode)
 		}
 	}
 	if o.Rounds != nil && len(o.Rounds) != nodes {
@@ -99,7 +99,7 @@ func (o *Observation) SnapshotOn(g *sgraph.Graph) (*cascade.Snapshot, error) {
 	}
 	states := make([]sgraph.State, len(o.Observed))
 	for i, c := range o.Observed {
-		s, err := codeToState(c)
+		s, err := StateFromCode(c)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +122,7 @@ func (o *Observation) GroundTruth() ([]int, []sgraph.State, error) {
 	}
 	states := make([]sgraph.State, len(o.SeedStates))
 	for i, c := range o.SeedStates {
-		s, err := codeToState(c)
+		s, err := StateFromCode(c)
 		if err != nil {
 			return nil, nil, err
 		}

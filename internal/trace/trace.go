@@ -51,14 +51,11 @@ type EdgeRecord struct {
 // distinct in raw JSON).
 const UnknownCode int8 = 9
 
-// unknownCode is kept as the historical internal name.
-const unknownCode = UnknownCode
-
 // StateCode encodes an in-memory node state as its wire code: +1, -1, 0 or
 // UnknownCode.
 func StateCode(s sgraph.State) int8 {
 	if s == sgraph.StateUnknown {
-		return unknownCode
+		return UnknownCode
 	}
 	return int8(s)
 }
@@ -68,16 +65,12 @@ func StateFromCode(c int8) (sgraph.State, error) {
 	switch c {
 	case 1, -1, 0:
 		return sgraph.State(c), nil
-	case unknownCode:
+	case UnknownCode:
 		return sgraph.StateUnknown, nil
 	default:
 		return 0, fmt.Errorf("trace: invalid state code %d", c)
 	}
 }
-
-func stateToCode(s sgraph.State) int8 { return StateCode(s) }
-
-func codeToState(c int8) (sgraph.State, error) { return StateFromCode(c) }
 
 // FromSnapshot captures a snapshot plus optional ground truth.
 func FromSnapshot(name string, snap *cascade.Snapshot, seeds []int, seedStates []sgraph.State) *Trace {
@@ -92,13 +85,13 @@ func FromSnapshot(name string, snap *cascade.Snapshot, seeds []int, seedStates [
 		t.Edges = append(t.Edges, EdgeRecord{From: e.From, To: e.To, Sign: int8(e.Sign), Weight: e.Weight})
 	})
 	for i, s := range snap.States {
-		t.Observed[i] = stateToCode(s)
+		t.Observed[i] = StateCode(s)
 	}
 	if snap.Rounds != nil {
 		t.Rounds = append([]int32(nil), snap.Rounds...)
 	}
 	for _, s := range seedStates {
-		t.SeedStates = append(t.SeedStates, stateToCode(s))
+		t.SeedStates = append(t.SeedStates, StateCode(s))
 	}
 	return t
 }
@@ -121,8 +114,8 @@ func (t *Trace) Validate() error {
 		return fmt.Errorf("trace: %d observed states for %d nodes", len(t.Observed), t.Nodes)
 	}
 	for i, c := range t.Observed {
-		if _, err := codeToState(c); err != nil {
-			return fmt.Errorf("trace: observed[%d]: invalid state code %d (want +1, -1, 0 or %d)", i, c, unknownCode)
+		if _, err := StateFromCode(c); err != nil {
+			return fmt.Errorf("trace: observed[%d]: invalid state code %d (want +1, -1, 0 or %d)", i, c, UnknownCode)
 		}
 	}
 	if t.Rounds != nil && len(t.Rounds) != t.Nodes {
@@ -191,7 +184,7 @@ func (t *Trace) BuildGraph() (*sgraph.Graph, error) {
 func (t *Trace) States() ([]sgraph.State, error) {
 	states := make([]sgraph.State, len(t.Observed))
 	for i, c := range t.Observed {
-		s, err := codeToState(c)
+		s, err := StateFromCode(c)
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +257,7 @@ func (t *Trace) GroundTruth() ([]int, []sgraph.State, error) {
 	}
 	states := make([]sgraph.State, len(t.SeedStates))
 	for i, c := range t.SeedStates {
-		s, err := codeToState(c)
+		s, err := StateFromCode(c)
 		if err != nil {
 			return nil, nil, err
 		}

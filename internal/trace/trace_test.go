@@ -177,7 +177,7 @@ func TestNetworkHash(t *testing.T) {
 	}
 	// A different snapshot over the same graph keeps the network hash.
 	c := FromSnapshot("c", snap, seeds, seedStates)
-	c.Observed[0] = unknownCode
+	c.Observed[0] = UnknownCode
 	if a.NetworkHash() != c.NetworkHash() {
 		t.Error("observed states must not affect the network hash")
 	}

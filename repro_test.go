@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -79,7 +80,7 @@ func TestBaselineFacades(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range []repro.Detector{tree, repro.NewRIDPositive(), repro.NewRumorCentrality()} {
-		det, err := d.Detect(snap)
+		det, err := d.DetectContext(context.Background(), snap)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name(), err)
 		}
@@ -164,7 +165,7 @@ func TestCenterDetectorFacades(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range []repro.Detector{repro.NewJordanCenter(), repro.NewDegreeMax()} {
-		det, err := d.Detect(snap)
+		det, err := d.DetectContext(context.Background(), snap)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name(), err)
 		}
