@@ -64,6 +64,22 @@ func BenchmarkDetectBatch(b *testing.B) {
 		b.Fatalf("prime status = %d, body %s", rr.Code, rr.Body.Bytes())
 	}
 
+	payload := batchPayload(b, tr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/detect/batch", bytes.NewReader(payload))
+		rr := httptest.NewRecorder()
+		handler.ServeHTTP(rr, req)
+		if rr.Code != http.StatusOK {
+			b.Fatalf("status = %d, body %s", rr.Code, rr.Body.Bytes())
+		}
+	}
+}
+
+// batchPayload is BenchmarkDetectBatch's request body: batchSize copies of
+// tr's observation, without ground truth, against tr's network by hash.
+func batchPayload(b *testing.B, tr *trace.Trace) []byte {
 	obs := *tr.Observation()
 	obs.Seeds, obs.SeedStates = nil, nil
 	items := make([]trace.Observation, batchSize)
@@ -76,14 +92,21 @@ func BenchmarkDetectBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return payload
+}
+
+// BenchmarkDecodeBatch isolates the body-decode layer of
+// BenchmarkDetectBatch: decodeBody alone on the same 32-item payload.
+func BenchmarkDecodeBatch(b *testing.B) {
+	payload := batchPayload(b, sampleTrace(b, 42, 2000, 12000, 40))
+	maxBytes := Config{}.withDefaults().MaxBodyBytes
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := httptest.NewRequest(http.MethodPost, "/v1/detect/batch", bytes.NewReader(payload))
-		rr := httptest.NewRecorder()
-		handler.ServeHTTP(rr, req)
-		if rr.Code != http.StatusOK {
-			b.Fatalf("status = %d, body %s", rr.Code, rr.Body.Bytes())
+		var body DetectBatchRequest
+		if err := decodeBody(httptest.NewRecorder(), req, &body, maxBytes); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log/slog"
 	"net/http"
@@ -532,18 +533,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeBody strictly decodes one JSON value from a size-capped body.
+// decodeBody strictly decodes one JSON value from a size-capped body; only
+// whitespace may follow it.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, maxBytes int64) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &httpError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit)}
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		} else if err == nil {
+			err = errors.New("unexpected data after top-level value")
 		}
-		return badRequest("invalid JSON: %v", err)
 	}
-	return nil
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &httpError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit)}
+	}
+	return badRequest("invalid JSON: %v", err)
 }

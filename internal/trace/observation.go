@@ -13,16 +13,16 @@ import (
 // all items. Field encodings match Trace exactly.
 type Observation struct {
 	Name     string `json:"name,omitempty"`
-	Observed []int8 `json:"observed"`
+	Observed Codes  `json:"observed"`
 	// Rounds optionally carries partial first-infection timestamps
 	// (-1 = unknown), aligned with Observed.
 	Rounds []int32 `json:"rounds,omitempty"`
 	// Seeds and SeedStates are the ground truth (optional).
-	Seeds      []int  `json:"seeds,omitempty"`
-	SeedStates []int8 `json:"seed_states,omitempty"`
+	Seeds      []int `json:"seeds,omitempty"`
+	SeedStates Codes `json:"seed_states,omitempty"`
 }
 
-// FromTrace extracts the observation carried by a full trace.
+// Observation extracts the observation carried by a full trace.
 func (t *Trace) Observation() *Observation {
 	return &Observation{
 		Name:       t.Name,

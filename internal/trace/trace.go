@@ -29,13 +29,13 @@ type Trace struct {
 	Edges []EdgeRecord `json:"edges"`
 	// Observed is the snapshot handed to detectors: one state per node,
 	// encoded as +1, -1, 0 or "?" via StateCode.
-	Observed []int8 `json:"observed"`
+	Observed Codes `json:"observed"`
 	// Rounds optionally carries partial first-infection timestamps
 	// (-1 = unknown), aligned with Observed.
 	Rounds []int32 `json:"rounds,omitempty"`
 	// Seeds and SeedStates are the ground truth (optional).
-	Seeds      []int  `json:"seeds,omitempty"`
-	SeedStates []int8 `json:"seed_states,omitempty"`
+	Seeds      []int `json:"seeds,omitempty"`
+	SeedStates Codes `json:"seed_states,omitempty"`
 }
 
 // EdgeRecord is one diffusion link.
