@@ -14,7 +14,8 @@ race:
 	$(GO) test -race ./internal/obs/ ./internal/diffusion/ ./internal/core/ ./internal/cascade/ ./internal/arbor/ ./internal/isomit/ ./internal/sgraph/ ./internal/par/ ./internal/influence/ ./internal/experiment/ ./internal/ingest/ ./internal/trace/ ./internal/server/ ./internal/profiling/ .
 
 # fuzz-smoke runs the arbor kernel-equivalence fuzzer and the state-code
-# decoder differential fuzzer briefly; CI does the same. Longer local runs:
+# decoder differential fuzzer briefly; CI runs this target (and race), so
+# the package lists live only here. Longer local runs:
 # go test -fuzz FuzzKernelEquivalence ./internal/arbor/
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime 10s ./internal/arbor/

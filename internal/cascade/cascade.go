@@ -284,8 +284,8 @@ func Extract(snap *Snapshot, cfg Config) (*Forest, error) {
 
 // ExtractContext is Extract with pipeline observability and cooperative
 // cancellation: when ctx carries an obs.Recorder it records the components
-// / arborescence / tree_build stage timings and the infected-node,
-// candidate-edge, component, tree and tree-node counters. With no recorder
+// / arborescence / tree_build stage timings and the typed cascade and arbor
+// counters (extractComponent writes them per component). With no recorder
 // attached the overhead is a handful of nil checks.
 //
 // Components are solved concurrently across cfg.Parallelism workers (zero
@@ -311,14 +311,6 @@ func ExtractContext(ctx context.Context, snap *Snapshot, cfg Config) (*Forest, e
 	comps := maskComponents(snap.G, infected, cfg.PositiveOnly)
 	span.End()
 	profiling.ClearStage(ctx)
-	rec.Add(obs.CounterInfectedNodes, int64(len(infected)))
-	rec.Add(obs.CounterComponents, int64(len(comps)))
-	if rec != nil {
-		var cs obs.CounterSet
-		cs.Cascade.InfectedNodes = int64(len(infected))
-		cs.Cascade.Components = int64(len(comps))
-		rec.MergeCounterSet(&cs)
-	}
 
 	workers := par.Workers(cfg.Parallelism)
 	treesByComp := make([][]*Tree, len(comps))
@@ -352,12 +344,6 @@ func ExtractContext(ctx context.Context, snap *Snapshot, cfg Config) (*Forest, e
 	forest := &Forest{Components: len(comps), Trees: make([]*Tree, 0, total)}
 	for _, trees := range treesByComp {
 		forest.Trees = append(forest.Trees, trees...)
-	}
-	rec.Add(obs.CounterTrees, int64(len(forest.Trees)))
-	if rec != nil {
-		var cs obs.CounterSet
-		cs.Cascade.Trees = int64(len(forest.Trees))
-		rec.MergeCounterSet(&cs)
 	}
 	return forest, nil
 }
@@ -436,6 +422,11 @@ func (s *extractScratch) release() {
 // comes from the worker-owned scratch; only the returned trees and their
 // arenas are freshly allocated.
 //
+// Every work count of the component (the component itself, its infected
+// nodes, scanned and candidate edges, trees and their size/depth) goes
+// into the scratch's typed counter batch here, so ExtractContext and
+// Workspace.ExtractComponent count alike.
+//
 // Bit-identity with the induced-subgraph reference path (reference.go):
 // members ascend, so dense component indices are order-isomorphic to the
 // local IDs sgraph.Induce would assign, and the CSR out-lists are sorted by
@@ -489,12 +480,14 @@ func extractComponent(ctx context.Context, snap *Snapshot, comp []int32, compIdx
 	s.edges, s.cands = edges, cands
 	cs := s.acc.CS()
 	if cs != nil {
+		cs.Cascade.Components++
+		cs.Cascade.InfectedNodes += int64(len(comp))
 		cs.Cascade.EdgesScanned += scanned
 		cs.Cascade.TimePruned += pruned
+		cs.Cascade.CandidateEdges += int64(len(edges))
 	}
 	parents, _, err := s.slv.MaxForest(len(comp), edges, cfg.RootScore)
 	span.End()
-	s.acc.Add(obs.CounterCandidateEdges, int64(len(edges)))
 	if err != nil {
 		return nil, fmt.Errorf("cascade: component %d: %w", compIdx, err)
 	}
@@ -588,12 +581,14 @@ func extractComponent(ctx context.Context, snap *Snapshot, comp []int32, compIdx
 		imputeStates(t)
 		rescore(t, cfg)
 		t.ScoreCfg = scoreCfg
-		s.acc.Add(obs.CounterTreeNodes, int64(t.Len()))
 		if cs != nil {
 			cs.Cascade.TreeSize.Observe(int64(t.Len()))
 			cs.Cascade.TreeDepth.Observe(int64(t.Depth()))
 		}
 		trees = append(trees, t)
+	}
+	if cs != nil {
+		cs.Cascade.Trees += int64(len(trees))
 	}
 	span.End()
 	return trees, nil

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sgraph"
 )
 
@@ -37,6 +38,34 @@ func TestWorkspaceMatchesExtract(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, full.Trees) {
 		t.Error("component-scoped extraction differs from full Extract")
+	}
+}
+
+// TestWorkspaceCountsLikeExtract requires the component-scoped path to
+// record the same typed counters as ExtractContext: extracting every
+// component through Workspace.ExtractComponent sums to the full
+// extraction's CounterSet, field by field.
+func TestWorkspaceCountsLikeExtract(t *testing.T) {
+	snap := multiComponentSnapshot(t, 6, 120)
+	cfg := Config{Alpha: 3}
+	full := obs.NewRecorder()
+	if _, err := ExtractContext(obs.WithRecorder(context.Background(), full), snap, cfg); err != nil {
+		t.Fatal(err)
+	}
+	parts := obs.NewRecorder()
+	ctx := obs.WithRecorder(context.Background(), parts)
+	w := NewWorkspace()
+	for ci, nodes := range InfectedComponents(snap, cfg.PositiveOnly) {
+		if _, err := w.ExtractComponent(ctx, snap, nodes, ci, cfg); err != nil {
+			t.Fatalf("component %d: %v", ci, err)
+		}
+	}
+	want, got := full.CounterSetSnapshot(), parts.CounterSetSnapshot()
+	if want == nil || want.Cascade.Components < 2 {
+		t.Fatalf("full extraction counted %+v; want a multi-component snapshot", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("per-component counters %+v\ndiffer from full extraction %+v", got, want)
 	}
 }
 

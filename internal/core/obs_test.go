@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cascade"
 	"repro/internal/obs"
+	"repro/internal/sgraph"
 )
 
 // TestDetectStageCoverage runs one full RID detect with a recorder
@@ -49,27 +51,7 @@ func TestDetectStageCoverage(t *testing.T) {
 		t.Errorf("stage durations sum to %v > end-to-end %v; stages overlap", sum, elapsed)
 	}
 
-	counters := rec.Counters()
-	if counters[obs.CounterComponents] < 1 {
-		t.Errorf("components counter = %d, want >= 1", counters[obs.CounterComponents])
-	}
-	if got, want := counters[obs.CounterTrees], int64(det.Trees); got != want {
-		t.Errorf("trees counter = %d, want %d (detection's tree count)", got, want)
-	}
-	if counters[obs.CounterInfectedNodes] < counters[obs.CounterComponents] {
-		t.Errorf("infected_nodes %d < components %d", counters[obs.CounterInfectedNodes], counters[obs.CounterComponents])
-	}
-	if got := counters[obs.CounterTreeNodes]; got != counters[obs.CounterInfectedNodes] {
-		t.Errorf("tree_nodes = %d, want %d (forest spans the infected subgraph)",
-			got, counters[obs.CounterInfectedNodes])
-	}
-	if counters[obs.CounterDPCells] < counters[obs.CounterTreeNodes] {
-		t.Errorf("dp_cells %d < tree_nodes %d: every node costs at least one cell",
-			counters[obs.CounterDPCells], counters[obs.CounterTreeNodes])
-	}
-	if counters[obs.CounterCandidateEdges] == 0 {
-		t.Error("candidate_edges counter not recorded")
-	}
+	checkCountInvariants(t, sim.snap, det, rec.CounterSetSnapshot(), 1, true)
 }
 
 // TestDetectStageCoverageBudgetDP asserts the budget-DP path records the
@@ -89,8 +71,7 @@ func TestDetectStageCoverageBudgetDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	stages := rec.Stages()
-	counters := rec.Counters()
-	if stages[obs.StageBinarize].Count == 0 && counters[obs.CounterBudgetFallbacks] == 0 {
+	if stages[obs.StageBinarize].Count == 0 && rec.CounterSetSnapshot().ISOMIT.BudgetFallbacks == 0 {
 		t.Error("budget-DP run recorded neither binarize spans nor fallbacks")
 	}
 	if stages[obs.StageTreeDP].Count == 0 {
@@ -98,54 +79,110 @@ func TestDetectStageCoverageBudgetDP(t *testing.T) {
 	}
 }
 
-// TestDetectCounterSet asserts a recorded detect carries the typed
-// algorithm-depth counters across every pipeline layer, consistent with
-// the legacy named counters.
-func TestDetectCounterSet(t *testing.T) {
-	sim := simulate(t, 11, 400, 2400, 12)
-	rid := mustRID(t, 0.3)
-	rec := obs.NewRecorder()
-	ctx := obs.WithRecorder(context.Background(), rec)
-	det, err := rid.DetectContext(ctx, sim.snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := rec.CounterSetSnapshot()
+// checkCountInvariants asserts what a recorded detect's typed counters
+// must say about the work it did, runs times over (the ensemble runs its
+// RID pipeline once per β):
+//   - every infected node lands in exactly one solved component;
+//   - the component and tree counts match the detection's;
+//   - the trees span the infected subgraph (TreeSize.Sum);
+//   - the arborescence solver staged every candidate edge plus one virtual
+//     root edge per node (the fixture has no self-loops to filter);
+//   - with dp, every tree node costs at least one DP cell.
+func checkCountInvariants(t *testing.T, snap *cascade.Snapshot, det *Detection, cs *obs.CounterSet, runs int64, dp bool) {
+	t.Helper()
 	if cs == nil {
-		t.Fatal("detect recorded no CounterSet")
+		t.Fatal("detect recorded no counters")
 	}
-	counters := rec.Counters()
-	if cs.Cascade.InfectedNodes != counters[obs.CounterInfectedNodes] ||
-		cs.Cascade.Components != counters[obs.CounterComponents] ||
-		cs.Cascade.Trees != counters[obs.CounterTrees] {
-		t.Fatalf("typed cascade counters %+v disagree with named %v", cs.Cascade, counters)
+	c := cs.Cascade
+	infected := int64(len(snap.Infected()))
+	if c.InfectedNodes != runs*infected {
+		t.Errorf("InfectedNodes = %d, want %d×%d infected nodes", c.InfectedNodes, runs, infected)
 	}
-	if cs.ISOMIT.DPCells != counters[obs.CounterDPCells] {
-		t.Fatalf("DPCells = %d, want %d", cs.ISOMIT.DPCells, counters[obs.CounterDPCells])
+	if c.Components != runs*int64(det.Components) || c.Trees != runs*int64(det.Trees) {
+		t.Errorf("Components/Trees = %d/%d, want %d×%d/%d", c.Components, c.Trees, runs, det.Components, det.Trees)
 	}
-	// The default objective solves every tree with the local rule.
-	if cs.ISOMIT.LocalSolves != int64(det.Trees) {
-		t.Fatalf("LocalSolves = %d, want %d", cs.ISOMIT.LocalSolves, det.Trees)
+	if got := c.TreeSize.Count(); got != c.Trees {
+		t.Errorf("TreeSize observations = %d, want Trees %d", got, c.Trees)
+	}
+	if c.TreeSize.Sum != c.InfectedNodes {
+		t.Errorf("TreeSize.Sum = %d, want InfectedNodes %d: the forest spans the infected subgraph",
+			c.TreeSize.Sum, c.InfectedNodes)
+	}
+	if c.CandidateEdges == 0 || c.CandidateEdges != cs.Arbor.EdgesStaged-c.InfectedNodes {
+		t.Errorf("CandidateEdges = %d, want EdgesStaged %d − InfectedNodes %d",
+			c.CandidateEdges, cs.Arbor.EdgesStaged, c.InfectedNodes)
 	}
 	// One Tarjan solve per component, via the pooled extraction solvers.
-	if cs.Arbor.TarjanSolves != cs.Cascade.Components {
-		t.Fatalf("TarjanSolves = %d, want %d (one per component)",
-			cs.Arbor.TarjanSolves, cs.Cascade.Components)
+	if cs.Arbor.TarjanSolves != c.Components {
+		t.Errorf("TarjanSolves = %d, want %d (one per component)", cs.Arbor.TarjanSolves, c.Components)
 	}
-	if cs.Arbor.EdgesStaged == 0 || cs.Cascade.EdgesScanned == 0 {
-		t.Fatalf("edge work not counted: %+v / %+v", cs.Arbor, cs.Cascade)
+	if c.EdgesScanned < c.CandidateEdges {
+		t.Errorf("EdgesScanned %d < CandidateEdges %d", c.EdgesScanned, c.CandidateEdges)
 	}
-	if got := cs.Cascade.TreeSize.Count(); got != cs.Cascade.Trees {
-		t.Fatalf("TreeSize observations = %d, want %d", got, cs.Cascade.Trees)
+	if dp && cs.ISOMIT.DPCells < c.InfectedNodes {
+		t.Errorf("DPCells %d < InfectedNodes %d: every node costs at least one cell",
+			cs.ISOMIT.DPCells, c.InfectedNodes)
 	}
-	if cs.Cascade.TreeSize.Sum != counters[obs.CounterTreeNodes] {
-		t.Fatalf("TreeSize.Sum = %d, want tree_nodes %d",
-			cs.Cascade.TreeSize.Sum, counters[obs.CounterTreeNodes])
+}
+
+// TestDetectCounterSet runs every detector through a recorded detect and
+// checks its typed counters: the extracting pipelines against the
+// detection and the snapshot (checkCountInvariants), the per-component
+// center comparators for counting nothing.
+func TestDetectCounterSet(t *testing.T) {
+	sim := simulate(t, 11, 400, 2400, 12)
+	for u := 0; u < sim.snap.G.NumNodes(); u++ {
+		sim.snap.G.Out(u, func(e sgraph.Edge) {
+			if e.To == u {
+				t.Fatalf("fixture has a self-loop at %d; the EdgesStaged invariant assumes none", u)
+			}
+		})
+	}
+	// runs is how many times a detector extracts the forest; 0 means its
+	// pipeline does not extract. Every registered name must be listed.
+	runs := map[string]int64{
+		"rid": 1, "rid-tree": 1, "rid-positive": 1, "ensemble": 3,
+		"rumor-centrality": 0, "jordan-center": 0, "degree-max": 0,
+	}
+	for _, name := range DetectorNames() {
+		t.Run(name, func(t *testing.T) {
+			n, ok := runs[name]
+			if !ok {
+				t.Fatalf("detector %q has no entry in the runs table", name)
+			}
+			d, err := NewDetector(name, RIDConfig{Alpha: 3, Beta: 0.3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.NewRecorder()
+			det, err := d.DetectContext(obs.WithRecorder(context.Background(), rec), sim.snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs := rec.CounterSetSnapshot()
+			if n == 0 {
+				if cs != nil {
+					t.Fatalf("non-extracting detector counted %+v", cs)
+				}
+				return
+			}
+			rid := name == "rid" || name == "ensemble"
+			checkCountInvariants(t, sim.snap, det, cs, n, rid)
+			if rid {
+				// The default objective solves every tree with the local rule.
+				if cs.ISOMIT.LocalSolves != cs.Cascade.Trees {
+					t.Errorf("LocalSolves = %d, want Trees %d", cs.ISOMIT.LocalSolves, cs.Cascade.Trees)
+				}
+			} else if cs.ISOMIT != (obs.ISOMITCounters{}) {
+				t.Errorf("root-only baseline counted DP work: %+v", cs.ISOMIT)
+			}
+		})
 	}
 }
 
 // TestDetectCounterSetBudgetDP asserts the auto budget path counts its DP
-// modes, k-selection rounds and fallbacks.
+// modes, k-selection rounds and one fallback per oversized tree, on top
+// of the extraction invariants.
 func TestDetectCounterSetBudgetDP(t *testing.T) {
 	sim := simulate(t, 11, 400, 2400, 12)
 	rid, err := NewRID(RIDConfig{
@@ -157,22 +194,37 @@ func TestDetectCounterSetBudgetDP(t *testing.T) {
 	}
 	rec := obs.NewRecorder()
 	ctx := obs.WithRecorder(context.Background(), rec)
-	if _, err := rid.DetectContext(ctx, sim.snap); err != nil {
+	det, err := rid.DetectContext(ctx, sim.snap)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cs := rec.CounterSetSnapshot()
-	if cs == nil {
-		t.Fatal("no CounterSet recorded")
+	checkCountInvariants(t, sim.snap, det, cs, 1, true)
+	forest, err := rid.Extract(sim.snap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cs.ISOMIT.BudgetSolves == 0 && cs.ISOMIT.BudgetFallbacks == 0 {
-		t.Fatalf("budget path counted neither solves nor fallbacks: %+v", cs.ISOMIT)
+	var oversized, small int64
+	for _, tree := range forest.Trees {
+		if tree.Len() > 4 {
+			oversized++
+		} else {
+			small++
+		}
 	}
-	if cs.ISOMIT.BudgetSolves > 0 && cs.ISOMIT.AutoRounds < cs.ISOMIT.BudgetSolves {
+	if oversized == 0 || small == 0 {
+		t.Fatalf("fixture has %d oversized and %d small trees; need both", oversized, small)
+	}
+	if cs.ISOMIT.BudgetFallbacks != oversized || cs.ISOMIT.PenalizedSolves != oversized {
+		t.Fatalf("fallbacks/penalized solves = %d/%d, want %d oversized trees",
+			cs.ISOMIT.BudgetFallbacks, cs.ISOMIT.PenalizedSolves, oversized)
+	}
+	if cs.ISOMIT.BudgetSolves != small {
+		t.Fatalf("BudgetSolves = %d, want %d trees within the cap", cs.ISOMIT.BudgetSolves, small)
+	}
+	if cs.ISOMIT.AutoRounds < cs.ISOMIT.BudgetSolves {
 		t.Fatalf("AutoRounds %d < BudgetSolves %d: every auto solve tries ≥ 1 k",
 			cs.ISOMIT.AutoRounds, cs.ISOMIT.BudgetSolves)
-	}
-	if got := rec.Counters()[obs.CounterBudgetFallbacks]; cs.ISOMIT.BudgetFallbacks != got {
-		t.Fatalf("typed fallbacks %d != named %d", cs.ISOMIT.BudgetFallbacks, got)
 	}
 }
 

@@ -228,7 +228,6 @@ func (r *RID) DetectForestContext(ctx context.Context, forest *cascade.Forest) (
 			}
 		}
 	}
-	rec.Add(obs.CounterDPCells, dpCells)
 	sortDetection(det)
 	if slog.Default().Enabled(ctx, slog.LevelDebug) {
 		slog.LogAttrs(ctx, slog.LevelDebug, "rid: forest solved",
@@ -279,7 +278,6 @@ func (r *RID) solveTree(tree *cascade.Tree, acc *obs.Accum) (*isomit.Result, *ca
 	}
 	if r.cfg.UseBudgetDP {
 		// Budget DP requested but the tree exceeds MaxBudgetTreeSize.
-		acc.Add(obs.CounterBudgetFallbacks, 1)
 		if cs := acc.CS(); cs != nil {
 			cs.ISOMIT.BudgetFallbacks++
 		}

@@ -26,7 +26,7 @@ type Result struct {
 	// Cells counts the DP cells this solve evaluated (memo entries for the
 	// budget DPs, ancestor slots for the penalized DP, threshold checks
 	// for the local objective) — the per-tree work measure surfaced by the
-	// observability layer as the dp_cells counter.
+	// observability layer as the isomit_dp_cells counter.
 	Cells int64
 	// KTried is how many budget values the incremental k-selection loop
 	// evaluated before stopping (auto modes only; zero otherwise).

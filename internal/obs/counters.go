@@ -1,15 +1,15 @@
 package obs
 
-// This file defines the typed algorithm-depth counter layer: where the
-// Recorder's named counters answer "how much work did the pipeline do",
-// the CounterSet answers "what did the algorithms underneath actually do"
-// — which arborescence kernel ran and how many heap operations and cycle
-// contractions it resolved, how the cascade forest was shaped, which
-// ISOMIT DP modes solved the trees, what the diffusion simulation did
-// round by round. Hot kernels accumulate into a plain (lock-free,
-// single-owner) CounterSet — typically the one owned by a worker's Accum —
-// and the batches are merged into the request's Recorder at stage end, so
-// the hot paths never touch a lock or a map.
+// This file defines the typed counter layer, the one place a work count
+// lives: how much work the pipeline did (infected nodes, components,
+// trees, candidate edges, DP cells) and what the algorithms underneath
+// actually did — which arborescence kernel ran and how many heap
+// operations and cycle contractions it resolved, how the cascade forest
+// was shaped, which ISOMIT DP modes solved the trees, what the diffusion
+// simulation did round by round. Hot kernels accumulate into a plain
+// (lock-free, single-owner) CounterSet — typically the one owned by a
+// worker's Accum — and the batches are merged into the request's Recorder
+// at stage end, so the hot paths never touch a lock or a map.
 
 // WorkHistBounds are the inclusive upper bounds of the WorkHist buckets
 // (counts above the last bound land in the +Inf bucket). Powers of two:
@@ -113,11 +113,15 @@ type ArborCounters struct {
 
 // CascadeCounters instruments forest extraction (internal/cascade).
 type CascadeCounters struct {
-	// InfectedNodes / Components / Trees mirror the pipeline's named
-	// counters so the typed set is self-contained.
+	// InfectedNodes counts the nodes of the solved infected components
+	// (Definition 6), Components those components and Trees the cascade
+	// trees extracted from them.
 	InfectedNodes int64 `json:"infected_nodes,omitempty"`
 	Components    int64 `json:"components,omitempty"`
 	Trees         int64 `json:"trees,omitempty"`
+	// CandidateEdges counts the candidate activation links scored and
+	// handed to the arborescence solver.
+	CandidateEdges int64 `json:"candidate_edges,omitempty"`
 	// EdgesScanned counts every out-edge examined while building candidate
 	// activation links (including ones rejected by timing); TimePruned the
 	// candidates dropped because known timestamps run backward.
@@ -211,6 +215,7 @@ func (c *CounterSet) Merge(o *CounterSet) {
 	c.Cascade.InfectedNodes += o.Cascade.InfectedNodes
 	c.Cascade.Components += o.Cascade.Components
 	c.Cascade.Trees += o.Cascade.Trees
+	c.Cascade.CandidateEdges += o.Cascade.CandidateEdges
 	c.Cascade.EdgesScanned += o.Cascade.EdgesScanned
 	c.Cascade.TimePruned += o.Cascade.TimePruned
 	c.Cascade.TreeSize.merge(&o.Cascade.TreeSize)
@@ -268,6 +273,7 @@ func (c *CounterSet) Each(fn func(name string, v int64)) {
 	emit("cascade_infected_nodes", c.Cascade.InfectedNodes)
 	emit("cascade_components", c.Cascade.Components)
 	emit("cascade_trees", c.Cascade.Trees)
+	emit("cascade_candidate_edges", c.Cascade.CandidateEdges)
 	emit("cascade_edges_scanned", c.Cascade.EdgesScanned)
 	emit("cascade_time_pruned", c.Cascade.TimePruned)
 	emit("isomit_local_solves", c.ISOMIT.LocalSolves)

@@ -1,22 +1,24 @@
 // Package obs is the pipeline observability layer: per-stage wall-time
-// spans and named counters carried through context.Context, plus request
-// trace IDs and a Prometheus text-format writer. It is stdlib-only and
-// designed around one invariant: when no Recorder is attached to the
-// context, every call degenerates to a nil check — the instrumented hot
-// paths (forest extraction, tree DP) pay nothing measurable.
+// spans and typed work counters (CounterSet) carried through
+// context.Context, plus request trace IDs and a Prometheus text-format
+// writer. It is stdlib-only and designed around one invariant: when no
+// Recorder is attached to the context, every call degenerates to a nil
+// check — the instrumented hot paths (forest extraction, tree DP) pay
+// nothing measurable.
 //
 // Usage: a serving or CLI layer creates a Recorder per pipeline run,
-// attaches it with WithRecorder, and reads StageMillis/Counters when the
-// run finishes. Library code brackets its stages with
+// attaches it with WithRecorder, and reads StageMillis/CounterSetSnapshot
+// when the run finishes. Library code brackets its stages with
 //
 //	span := obs.RecorderFrom(ctx).Start(obs.StageTreeDP)
 //	... work ...
 //	span.End()
 //
-// and accumulates counters via Recorder.Add. Stage names are chosen so the
-// recorded set is a disjoint partition of the pipeline: stage durations can
-// be summed and compared against the end-to-end latency without double
-// counting.
+// and counts work into a CounterSet: a worker Accum's (Accum.CS) on hot
+// fan-out paths, or a local one folded in with Recorder.MergeCounterSet.
+// Stage names are chosen so the recorded set is a disjoint partition of
+// the pipeline: stage durations can be summed and compared against the
+// end-to-end latency without double counting.
 package obs
 
 import (
@@ -24,7 +26,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -56,28 +57,6 @@ const (
 	StageTreeDP = "tree_dp"
 )
 
-// Counter names accumulated by the RID pipeline.
-const (
-	// CounterInfectedNodes is the number of nodes in the infected subgraph.
-	CounterInfectedNodes = "infected_nodes"
-	// CounterCandidateEdges is the number of candidate activation links
-	// scored for forest extraction.
-	CounterCandidateEdges = "candidate_edges"
-	// CounterComponents is the number of infected connected components.
-	CounterComponents = "components"
-	// CounterTrees is the number of extracted cascade trees.
-	CounterTrees = "trees"
-	// CounterTreeNodes is the total node count across extracted trees
-	// (CounterTreeNodes / CounterTrees = mean tree size).
-	CounterTreeNodes = "tree_nodes"
-	// CounterDPCells is the number of DP cells (memo entries, threshold
-	// checks or ancestor slots) evaluated by the per-tree solvers.
-	CounterDPCells = "dp_cells"
-	// CounterBudgetFallbacks counts trees that exceeded MaxBudgetTreeSize
-	// and fell back from the budget DP to the penalized DP.
-	CounterBudgetFallbacks = "budget_fallbacks"
-)
-
 // StageStat aggregates the observations of one stage within a Recorder.
 type StageStat struct {
 	// Count is the number of spans recorded under the stage name.
@@ -87,8 +66,8 @@ type StageStat struct {
 	Max   time.Duration
 }
 
-// Recorder accumulates per-stage wall times and named counters for one
-// pipeline run (typically one detect request). All methods are safe for
+// Recorder accumulates per-stage wall times and typed work counters for
+// one pipeline run (typically one detect request). All methods are safe for
 // concurrent use and safe on a nil receiver, where they no-op — callers
 // thread the RecorderFrom(ctx) result unconditionally.
 //
@@ -102,24 +81,15 @@ type Recorder struct {
 	mu     sync.Mutex
 	stages map[string]*StageStat
 
-	// Counters are per-name atomics so concurrent workers (extraction and
-	// DP fan-out, HTTP handlers) add without serializing on mu; cmu only
-	// guards insertion of a new name.
-	cmu      sync.RWMutex
-	counters map[string]*atomic.Int64
-
-	// cs aggregates the typed algorithm-depth counters merged in by worker
-	// Accums (or directly via MergeCounterSet); csMu serializes the merges.
+	// cs aggregates the typed work counters merged in by worker Accums (or
+	// directly via MergeCounterSet); csMu serializes the merges.
 	csMu sync.Mutex
 	cs   CounterSet
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		stages:   make(map[string]*StageStat),
-		counters: make(map[string]*atomic.Int64),
-	}
+	return &Recorder{stages: make(map[string]*StageStat)}
 }
 
 // Span is one in-flight stage timing. The zero Span (from a nil Recorder)
@@ -168,25 +138,6 @@ func (r *Recorder) merge(stage string, add StageStat) {
 	r.mu.Unlock()
 }
 
-// Add accumulates n onto the named counter. No-op on a nil recorder.
-func (r *Recorder) Add(name string, n int64) {
-	if r == nil {
-		return
-	}
-	r.cmu.RLock()
-	c := r.counters[name]
-	r.cmu.RUnlock()
-	if c == nil {
-		r.cmu.Lock()
-		if c = r.counters[name]; c == nil {
-			c = new(atomic.Int64)
-			r.counters[name] = c
-		}
-		r.cmu.Unlock()
-	}
-	c.Add(n)
-}
-
 // Stages returns a copy of the per-stage aggregates.
 func (r *Recorder) Stages() map[string]StageStat {
 	if r == nil {
@@ -216,21 +167,18 @@ func (r *Recorder) StageMillis() map[string]float64 {
 	return out
 }
 
-// MergeFrom folds another recorder's stage aggregates, named counters and
-// typed counters into r — how a batch request rolls its per-item recorders
-// up into one batch-level view whose stage totals and algo counters sum
-// over items. No-op when either recorder is nil. The source recorder is
-// read under its own locks, so merging while other goroutines still write
-// to it is safe (their late writes are simply not picked up).
+// MergeFrom folds another recorder's stage aggregates and typed counters
+// into r — how a batch request rolls its per-item recorders up into one
+// batch-level view whose stage totals and algo counters sum over items.
+// No-op when either recorder is nil. The source recorder is read under its
+// own locks, so merging while other goroutines still write to it is safe
+// (their late writes are simply not picked up).
 func (r *Recorder) MergeFrom(other *Recorder) {
 	if r == nil || other == nil {
 		return
 	}
 	for name, st := range other.Stages() {
 		r.merge(name, st)
-	}
-	for name, n := range other.Counters() {
-		r.Add(name, n)
 	}
 	other.csMu.Lock()
 	cs := other.cs
@@ -293,30 +241,15 @@ func (r *Recorder) StageViews() map[string]StageView {
 	return out
 }
 
-// Counters returns a copy of the counter map.
-func (r *Recorder) Counters() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.cmu.RLock()
-	defer r.cmu.RUnlock()
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] = c.Load()
-	}
-	return out
-}
-
 // Accum batches span and counter observations locally for one worker of a
 // parallel stage, so the fan-out touches the shared recorder once per
 // Flush instead of once per component or tree. Not safe for concurrent
 // use — each worker owns its own Accum — and nil-safe throughout, so the
 // no-recorder fast path stays a pointer check.
 type Accum struct {
-	rec      *Recorder
-	stages   map[string]*StageStat
-	counters map[string]int64
-	cs       CounterSet
+	rec    *Recorder
+	stages map[string]*StageStat
+	cs     CounterSet
 }
 
 // NewAccum returns a local accumulator bound to the recorder. On a nil
@@ -325,11 +258,7 @@ func (r *Recorder) NewAccum() *Accum {
 	if r == nil {
 		return nil
 	}
-	return &Accum{
-		rec:      r,
-		stages:   make(map[string]*StageStat),
-		counters: make(map[string]int64),
-	}
+	return &Accum{rec: r, stages: make(map[string]*StageStat)}
 }
 
 // AccumSpan is one in-flight stage timing on an Accum. The zero AccumSpan
@@ -367,14 +296,6 @@ func (s AccumSpan) End() {
 	}
 }
 
-// Add accumulates n onto the local counter. No-op on a nil Accum.
-func (a *Accum) Add(name string, n int64) {
-	if a == nil {
-		return
-	}
-	a.counters[name] += n
-}
-
 // CS returns the Accum's typed counter batch for hot kernels to write
 // directly (it is merged into the recorder at Flush), or nil on a nil
 // Accum — callers hand the result to nil-tolerant sinks.
@@ -387,7 +308,8 @@ func (a *Accum) CS() *CounterSet {
 
 // Flush merges everything batched so far into the recorder and resets the
 // Accum for reuse. Safe to call concurrently with other workers' flushes
-// (the recorder serializes), but not with this Accum's own Start/Add.
+// (the recorder serializes), but not with this Accum's own spans or writes
+// to its CS.
 func (a *Accum) Flush() {
 	if a == nil {
 		return
@@ -395,10 +317,6 @@ func (a *Accum) Flush() {
 	for name, st := range a.stages {
 		a.rec.merge(name, *st)
 		delete(a.stages, name)
-	}
-	for name, n := range a.counters {
-		a.rec.Add(name, n)
-		delete(a.counters, name)
 	}
 	if !a.cs.Zero() {
 		a.rec.MergeCounterSet(&a.cs)
@@ -419,12 +337,6 @@ func WithRecorder(ctx context.Context, r *Recorder) context.Context {
 func RecorderFrom(ctx context.Context) *Recorder {
 	r, _ := ctx.Value(recorderKey{}).(*Recorder)
 	return r
-}
-
-// Add accumulates n onto the named counter of the context's recorder, if
-// any. Convenience for cold paths; hot loops hold the recorder directly.
-func Add(ctx context.Context, name string, n int64) {
-	RecorderFrom(ctx).Add(name, n)
 }
 
 // Start opens a span on the context's recorder, if any. Convenience for

@@ -43,7 +43,10 @@ func newHistogram() *Histogram {
 	return &Histogram{Buckets: make([]int64, len(latencyBucketsMS)+1)}
 }
 
-func (h *Histogram) observe(d time.Duration) {
+// observe records one value. A non-empty traceID also pins an exemplar on
+// the one (non-cumulative) bucket the value falls in, replacing that
+// bucket's previous exemplar.
+func (h *Histogram) observe(d time.Duration, traceID string, now time.Time) {
 	ms := float64(d) / float64(time.Millisecond)
 	h.Count++
 	h.SumMS += ms
@@ -51,24 +54,15 @@ func (h *Histogram) observe(d time.Duration) {
 		h.MaxMS = ms
 	}
 	i := sort.SearchFloat64s(latencyBucketsMS, ms)
+	if traceID != "" {
+		if h.exemplars == nil {
+			h.exemplars = make([]Exemplar, len(latencyBucketsMS)+1)
+		}
+		h.exemplars[i] = Exemplar{TraceID: traceID, ValueMS: ms, TS: float64(now.UnixNano()) / 1e9}
+	}
 	for ; i < len(h.Buckets); i++ {
 		h.Buckets[i]++
 	}
-}
-
-// observeExemplar is observe plus an exemplar on the one (non-cumulative)
-// bucket the value falls in, replacing that bucket's previous exemplar.
-func (h *Histogram) observeExemplar(d time.Duration, traceID string, now time.Time) {
-	h.observe(d)
-	if traceID == "" {
-		return
-	}
-	if h.exemplars == nil {
-		h.exemplars = make([]Exemplar, len(latencyBucketsMS)+1)
-	}
-	ms := float64(d) / float64(time.Millisecond)
-	i := sort.SearchFloat64s(latencyBucketsMS, ms)
-	h.exemplars[i] = Exemplar{TraceID: traceID, ValueMS: ms, TS: float64(now.UnixNano()) / 1e9}
 }
 
 // MeanMS returns the mean observed latency in milliseconds.
@@ -90,7 +84,6 @@ type Registry struct {
 	build    BuildInfo
 	requests map[string]map[int]int64
 	latency  map[string]*Histogram
-	pipeline map[string]int64
 	algo     obs.CounterSet
 	rejected int64
 	hits     int64
@@ -111,7 +104,6 @@ func NewRegistry() *Registry {
 		},
 		requests: make(map[string]map[int]int64),
 		latency:  make(map[string]*Histogram),
-		pipeline: make(map[string]int64),
 	}
 }
 
@@ -127,8 +119,14 @@ func (r *Registry) CountRequest(route string, status int) {
 	byStatus[status]++
 }
 
-// Observe records a latency observation under a label.
-func (r *Registry) Observe(label string, d time.Duration) {
+// Observe records a latency observation under a label. A non-empty traceID
+// also pins a trace-id exemplar on the bucket the observation lands in,
+// surfaced by the OpenMetrics exposition.
+func (r *Registry) Observe(label string, d time.Duration, traceID string) {
+	var now time.Time
+	if traceID != "" {
+		now = time.Now()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.latency[label]
@@ -136,22 +134,7 @@ func (r *Registry) Observe(label string, d time.Duration) {
 		h = newHistogram()
 		r.latency[label] = h
 	}
-	h.observe(d)
-}
-
-// ObserveExemplar is Observe plus a trace-id exemplar on the bucket the
-// observation lands in, surfaced by the OpenMetrics exposition. An empty
-// traceID degrades to a plain observation.
-func (r *Registry) ObserveExemplar(label string, d time.Duration, traceID string) {
-	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.latency[label]
-	if h == nil {
-		h = newHistogram()
-		r.latency[label] = h
-	}
-	h.observeExemplar(d, traceID, now)
+	h.observe(d, traceID, now)
 }
 
 // CountRejected records one request shed by queue backpressure.
@@ -175,20 +158,16 @@ func (r *Registry) CountCache(hit bool) {
 // MergeRecorder folds one request's pipeline recorder into the registry:
 // each stage's per-request total becomes an observation on the
 // "stage.<name>" latency histogram (so /metrics carries per-stage
-// distributions across requests), and the pipeline counters accumulate.
+// distributions across requests), and the typed counters accumulate.
 func (r *Registry) MergeRecorder(rec *obs.Recorder) {
 	if rec == nil {
 		return
 	}
 	for name, st := range rec.Stages() {
-		r.Observe(stagePrefix+name, st.Total)
+		r.Observe(stagePrefix+name, st.Total, "")
 	}
-	counters := rec.Counters()
 	cs := rec.CounterSetSnapshot()
 	r.mu.Lock()
-	for name, n := range counters {
-		r.pipeline[name] += n
-	}
 	r.algo.Merge(cs)
 	r.mu.Unlock()
 }
@@ -240,25 +219,19 @@ type BuildInfo struct {
 	GOARCH     string `json:"go_arch"`
 }
 
-// Snapshot is the JSON document served on /metrics. UptimeS predates
-// UptimeSeconds and is kept for wire compatibility; both carry the same
-// value.
+// Snapshot is the JSON document served on /metrics.
 type Snapshot struct {
-	UptimeS       float64                       `json:"uptime_s"`
 	UptimeSeconds float64                       `json:"uptime_seconds"`
 	Build         BuildInfo                     `json:"build_info"`
 	Requests      map[string]map[string]int64   `json:"requests"`
 	LatencyMS     map[string]*HistogramSnapshot `json:"latency_ms"`
 	Queue         QueueSnapshot                 `json:"queue"`
 	Cache         CacheSnapshot                 `json:"cache"`
-	// Pipeline accumulates the obs counters (infected nodes, candidate
-	// edges, components, trees, DP cells, budget fallbacks) across every
-	// detect served. Omitted until the first instrumented request.
-	Pipeline map[string]int64 `json:"pipeline,omitempty"`
-	// Algo accumulates the typed algorithm-depth counters (arborescence
-	// kernel operations, forest shape histograms, per-tree DP modes,
-	// diffusion work) across every served request. Omitted until the first
-	// request that counted anything.
+	// Algo accumulates the typed counters (infected nodes, components,
+	// trees and candidate edges, arborescence kernel operations, forest
+	// shape histograms, per-tree DP modes and cells, diffusion work) across
+	// every served request. Omitted until the first request that counted
+	// anything.
 	Algo *obs.CounterSet `json:"algo,omitempty"`
 	// Runtime is the Go runtime health sample (goroutines, heap, GC pause
 	// and scheduler-latency quantiles) taken at snapshot time.
@@ -306,21 +279,13 @@ func (r *Registry) Snapshot(queue QueueSnapshot, cacheSize, cacheCap int) *Snaps
 	rt := obs.ReadRuntimeStats() // sampled outside the lock; it never fails
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	uptime := time.Since(r.start).Seconds()
 	s := &Snapshot{
-		UptimeS:       uptime,
-		UptimeSeconds: uptime,
+		UptimeSeconds: time.Since(r.start).Seconds(),
 		Build:         r.build,
 		Requests:      make(map[string]map[string]int64, len(r.requests)),
 		LatencyMS:     make(map[string]*HistogramSnapshot, len(r.latency)),
 	}
 	s.Runtime = &rt
-	if len(r.pipeline) > 0 {
-		s.Pipeline = make(map[string]int64, len(r.pipeline))
-		for name, n := range r.pipeline {
-			s.Pipeline[name] = n
-		}
-	}
 	if !r.algo.Zero() {
 		cp := r.algo
 		s.Algo = &cp

@@ -267,7 +267,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		}, profiling.LabelRoute, route)
 		elapsed := time.Since(start)
 		s.reg.CountRequest(route, rec.status)
-		s.reg.ObserveExemplar("route."+route, elapsed, tc.TraceID)
+		s.reg.Observe("route."+route, elapsed, tc.TraceID)
 		s.slo.Record(route, rec.status, elapsed)
 		if s.exporter != nil {
 			pipeRec, links, detail := slot.Snapshot()
@@ -333,7 +333,6 @@ func (rr *reqRecord) finish(detail string, err error, label string) {
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 		Status:    statusOf(err),
 		Stages:    rr.rec.StageViews(),
-		Counters:  rr.rec.Counters(),
 		Algo:      rr.rec.CounterSetSnapshot(),
 	}
 	if err != nil {
@@ -346,7 +345,7 @@ func (rr *reqRecord) finish(detail string, err error, label string) {
 	if err == nil {
 		rr.s.reg.MergeRecorder(rr.rec)
 		if label != "" {
-			rr.s.reg.Observe(label, elapsed)
+			rr.s.reg.Observe(label, elapsed, "")
 		}
 	}
 }

@@ -569,11 +569,22 @@ func TestGraphCacheLRU(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	h := newHistogram()
-	h.observe(3 * time.Millisecond)
-	h.observe(40 * time.Millisecond)
-	h.observe(7 * time.Second)
+	now := time.Unix(1700000000, 0)
+	h.observe(3*time.Millisecond, "", now)
+	h.observe(40*time.Millisecond, "trace-40ms", now)
+	h.observe(7*time.Second, "", now)
 	if h.Count != 3 {
 		t.Fatalf("count = %d", h.Count)
+	}
+	// Only the traced observation pins an exemplar, on its own (50ms,
+	// index 5) bucket.
+	for i, ex := range h.exemplars {
+		if want := i == 5; (ex.TraceID != "") != want {
+			t.Errorf("bucket %d exemplar = %+v", i, ex)
+		}
+	}
+	if ex := h.exemplars[5]; ex.TraceID != "trace-40ms" || ex.ValueMS != 40 || ex.TS != 1700000000 {
+		t.Errorf("exemplar = %+v", ex)
 	}
 	// 3ms lands in the 5ms bucket (index 2) and all above.
 	if h.Buckets[1] != 0 || h.Buckets[2] != 1 {
@@ -601,7 +612,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				reg.CountRequest("detect", 200+i%2)
-				reg.Observe(fmt.Sprintf("label-%d", i%3), time.Millisecond)
+				reg.Observe(fmt.Sprintf("label-%d", i%3), time.Millisecond, "")
 				reg.CountCache(j%2 == 0)
 				reg.CountRejected()
 			}

@@ -153,6 +153,57 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionDetectCountsCascadeWork checks a session detect's
+// algo_counters account for the components it re-solved: each dirty
+// component is counted once with its infected nodes and trees, and each
+// tree is sized and solved once.
+func TestSessionDetectCountsCascadeWork(t *testing.T) {
+	tr := sampleTrace(t, 77, 150, 700, 3)
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts, "/v1/sessions", SessionRequest{Trace: tr, Beta: 0.3})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("session create: %d %s", resp.StatusCode, body)
+	}
+	var sr SessionResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ingest.EventsFromTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(events) / 2
+	for i, batch := range [][]trace.Event{events[:half], events[half:]} {
+		if resp, body := postJSON(t, ts, "/v1/sessions/"+sr.SessionID+"/events", EventsRequest{Events: batch}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("events: %d %s", resp.StatusCode, body)
+		}
+		resp, body := getBody(t, ts, "/v1/sessions/"+sr.SessionID+"/detect")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("session detect: %d %s", resp.StatusCode, body)
+		}
+		var sd SessionDetectResponse
+		if err := json.Unmarshal(body, &sd); err != nil {
+			t.Fatal(err)
+		}
+		if sd.Dirty == 0 || sd.Algo == nil {
+			t.Fatalf("detect %d re-solved nothing: %s", i, body)
+		}
+		c := sd.Algo.Cascade
+		if c.Trees == 0 || c.Trees != c.TreeSize.Count() || c.Trees != sd.Algo.ISOMIT.LocalSolves {
+			t.Errorf("detect %d: cascade.trees %d, tree_size count %d, isomit.local_solves %d; want equal and > 0",
+				i, c.Trees, c.TreeSize.Count(), sd.Algo.ISOMIT.LocalSolves)
+		}
+		if c.Components != sd.Algo.Ingest.ComponentsDirty || c.Components != int64(sd.Dirty) {
+			t.Errorf("detect %d: cascade.components %d, ingest.components_dirty %d, dirty %d; want equal",
+				i, c.Components, sd.Algo.Ingest.ComponentsDirty, sd.Dirty)
+		}
+		if c.InfectedNodes == 0 || c.InfectedNodes != c.TreeSize.Sum {
+			t.Errorf("detect %d: cascade.infected_nodes %d, tree_size sum %d; want equal and > 0",
+				i, c.InfectedNodes, c.TreeSize.Sum)
+		}
+	}
+}
+
 func TestSessionCreateValidation(t *testing.T) {
 	tr := sampleTrace(t, 78, 60, 240, 2)
 	_, ts := newTestServer(t, Config{})

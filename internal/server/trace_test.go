@@ -209,10 +209,9 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	if v, ok := attrValue(root, "request.detail"); !ok || !strings.HasPrefix(v, "detector=") {
 		t.Fatalf("request.detail = %q, want detector name", v)
 	}
-	// The pipeline's work counters and algorithm-depth counters must ride
-	// on the root span.
-	if _, ok := attrValue(root, "counter.infected_nodes"); !ok {
-		t.Error("counter.infected_nodes attribute missing")
+	// The pipeline's typed work counters must ride on the root span.
+	if _, ok := attrValue(root, "algo.cascade_infected_nodes"); !ok {
+		t.Error("algo.cascade_infected_nodes attribute missing")
 	}
 	foundAlgo := false
 	for _, a := range root.Attributes {
@@ -475,5 +474,68 @@ func TestDebugSLOPage(t *testing.T) {
 	}
 	if resp, _ := getBody(t, ts, "/debug/slo?format=yaml"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown format: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestCountsOnlyUnderTypedNames drives one detect and checks all four
+// telemetry surfaces (the /metrics JSON, the Prometheus exposition, the
+// OTLP root span and the flight recorder) carry the work counts under
+// their typed names only: no pipeline section, no
+// ridserve_pipeline_events_total family, no counter.* attributes and no
+// "counters" key in a flight record.
+func TestCountsOnlyUnderTypedNames(t *testing.T) {
+	ts, exp, path := newTracedServer(t, 1)
+	tr := sampleTrace(t, 31, 200, 1000, 4)
+	if resp, body := postJSON(t, ts, "/v1/detect", DetectRequest{Trace: tr, Detector: "rid", Beta: 0.3}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("detect: %d %s", resp.StatusCode, body)
+	}
+
+	_, body := getBody(t, ts, "/metrics")
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"pipeline", "uptime_s"} {
+		if _, ok := doc[gone]; ok {
+			t.Errorf("/metrics JSON still has %q", gone)
+		}
+	}
+	if !strings.Contains(string(doc["algo"]), `"candidate_edges"`) {
+		t.Errorf("/metrics JSON algo lacks candidate_edges: %s", doc["algo"])
+	}
+
+	_, body = getBody(t, ts, "/metrics?format=prometheus")
+	if text := string(body); strings.Contains(text, "ridserve_pipeline_events_total") ||
+		!strings.Contains(text, `ridserve_algo_events_total{event="cascade_candidate_edges"}`) {
+		t.Errorf("exposition keeps the named family or lacks cascade_candidate_edges:\n%s", text)
+	}
+
+	_, body = getBody(t, ts, "/debug/requests?format=json")
+	if strings.Contains(string(body), `"counters"`) || !strings.Contains(string(body), `"algo_counters"`) {
+		t.Errorf("flight records keep a counters key or lack algo_counters: %s", body)
+	}
+	var flights flightJSON
+	if err := json.Unmarshal(body, &flights); err != nil || len(flights.Records) == 0 {
+		t.Fatalf("flight records: %v, %s", err, body)
+	}
+	_, body = getBody(t, ts, "/debug/requests?trace="+flights.Records[0].TraceID)
+	if strings.Contains(string(body), "pipeline counters") {
+		t.Error("drill-down page still renders a pipeline counters table")
+	}
+
+	if err := exp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	root := findSpan(readCapture(t, path), "detect")
+	if root == nil {
+		t.Fatal("no detect root span in capture")
+	}
+	for _, a := range root.Attributes {
+		if strings.HasPrefix(a.Key, "counter.") {
+			t.Errorf("root span attribute %s: counts export as algo.* only", a.Key)
+		}
+	}
+	if _, ok := attrValue(root, "algo.cascade_candidate_edges"); !ok {
+		t.Error("algo.cascade_candidate_edges attribute missing")
 	}
 }
